@@ -14,6 +14,10 @@ slow-query threshold, runs a short query workload over TCP, then checks:
     produced, so the two views must agree at quiescence);
   * the latency histogram is internally consistent (cumulative buckets
     monotone, +Inf bucket == _count > 0);
+  * the workload's `hdbscan` and `emst` builds moved every algorithm work
+    counter: each parhc_algo_*_total is > 0 (a family that exists but reads
+    0 is a counter nothing increments), and BCCP point distances are at
+    least the BCCP calls that evaluated them;
   * `metrics json` is valid JSON mirroring the same families;
   * `slowlog` holds records (threshold 0 makes every query slow);
   * `trace dump` writes valid Chrome trace_event JSON whose events carry
@@ -42,6 +46,9 @@ REQUIRED_FAMILIES = [
     "parhc_executor_workers",
     "parhc_dataset_points",
     "parhc_algo_wspd_pairs_materialized_total",
+    "parhc_algo_wspd_pairs_visited_total",
+    "parhc_algo_bccp_computed_total",
+    "parhc_algo_bccp_point_distances_total",
     "parhc_trace_enabled",
     "parhc_slowlog_records_total",
 ]
@@ -160,6 +167,18 @@ def main():
             fail(f"per-verb sum {by_verb} != served {served}")
         if samples.get("parhc_server_protocol_errors_total") != 0:
             fail("protocol_errors_total != 0")
+
+        # ---- algorithm work counters (hdbscan d 8 / emst d ran) ----
+        algo = {k: v for k, v in samples.items()
+                if k.startswith("parhc_algo_") and k.endswith("_total")}
+        for k, v in sorted(algo.items()):
+            if not v > 0:
+                fail(f"{k}={v:g} after hdbscan/emst builds, expected > 0")
+        dists = algo["parhc_algo_bccp_point_distances_total"]
+        calls = algo["parhc_algo_bccp_computed_total"]
+        if dists < calls:
+            fail(f"bccp_point_distances_total {dists:g} < "
+                 f"bccp_computed_total {calls:g}")
 
         # ---- latency histogram consistency ----
         buckets = [(k, v) for k, v in samples.items()

@@ -64,10 +64,7 @@ std::vector<WeightedEdge> EmstGfk(const std::vector<Point<D>>& pts,
           Pair{a, b, nd, -1, 0, 0, tree.NodeSize(a) + tree.NodeSize(b)});
     });
     s = Flatten(local);
-    auto& stats = Stats::Get();
-    stats.wspd_pairs_materialized.fetch_add(s.size(),
-                                            std::memory_order_relaxed);
-    WriteMax(&stats.wspd_pairs_peak, static_cast<uint64_t>(s.size()));
+    Stats::Get().RecordMaterialized(s.size());
   }
 
   PhaseTimer kruskal_phase(phases, &PhaseBreakdown::kruskal, "phase:kruskal");

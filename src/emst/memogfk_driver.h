@@ -133,10 +133,7 @@ std::vector<WeightedEdge> MemoGfkMst(KdTree<D>& tree, const Sep& sep,
       };
       GetPairs(tree, sep, lb, ub, bccp, rho_lo, rho_hi, emit);
       batch = Flatten(local);
-      auto& stats = Stats::Get();
-      stats.wspd_pairs_materialized.fetch_add(batch.size(),
-                                              std::memory_order_relaxed);
-      WriteMax(&stats.wspd_pairs_peak, static_cast<uint64_t>(batch.size()));
+      Stats::Get().RecordMaterialized(batch.size());
     }
 
     {

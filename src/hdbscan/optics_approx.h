@@ -99,12 +99,7 @@ OpticsApproxResult OpticsApproxMst(const std::vector<Point<D>>& pts,
     }
   });
   std::vector<WeightedEdge> edges = Flatten(local);
-  {
-    auto& stats = Stats::Get();
-    stats.wspd_pairs_materialized.fetch_add(edges.size(),
-                                            std::memory_order_relaxed);
-    WriteMax(&stats.wspd_pairs_peak, static_cast<uint64_t>(edges.size()));
-  }
+  Stats::Get().RecordMaterialized(edges.size());
   result.base_graph_edges = edges.size();
   std::vector<WeightedEdge> dup =
       internal::DuplicateLeafEdges(tree, /*use_core_dist=*/true);

@@ -76,12 +76,20 @@ void EuclideanLeafScanBatched(const KdTree<D>& ta, const KdTree<D>& tb,
   }
 }
 
+// Counts one finished BCCP / BCCP* call that evaluated `distances` point
+// pairs, in the calling thread's counter slot.
+inline void CountBccp(uint64_t distances) {
+  Stats::Add(Stats::kBccpComputed, 1);
+  Stats::Add(Stats::kBccpPointDistances, distances);
+}
+
 }  // namespace internal
 
 /// Exact closest pair between the point sets of nodes `a` and `b`.
 template <int D>
 ClosestPair Bccp(const KdTree<D>& tree, uint32_t a, uint32_t b) {
   ClosestPair best;
+  uint64_t distances = 0;
   auto boxdist = [&](uint32_t x, uint32_t y) {
     return tree.NodeBox(x).MinSquaredDistance(tree.NodeBox(y));
   };
@@ -92,10 +100,11 @@ ClosestPair Bccp(const KdTree<D>& tree, uint32_t a, uint32_t b) {
       },
       boxdist,
       [&](uint32_t x, uint32_t y) {
+        distances += uint64_t{tree.NodeSize(x)} * tree.NodeSize(y);
         auto gid = [&](uint32_t i) { return tree.id(i); };
         internal::EuclideanLeafScanBatched(tree, tree, x, y, gid, gid, best);
       });
-  Stats::Get().bccp_computed.fetch_add(1, std::memory_order_relaxed);
+  internal::CountBccp(distances);
   return best;
 }
 
@@ -105,6 +114,7 @@ template <int D>
 ClosestPair BccpStar(const KdTree<D>& tree, uint32_t a, uint32_t b) {
   PARHC_DCHECK(tree.has_core_dists());
   ClosestPair best;
+  uint64_t distances = 0;
   DualMinTraverse(
       tree, a, b,
       [&](uint32_t x, uint32_t y) {
@@ -117,6 +127,7 @@ ClosestPair BccpStar(const KdTree<D>& tree, uint32_t a, uint32_t b) {
         return tree.NodeBox(x).MinSquaredDistance(tree.NodeBox(y));
       },
       [&](uint32_t x, uint32_t y) {
+        distances += uint64_t{tree.NodeSize(x)} * tree.NodeSize(y);
         internal::BccpLeafScan(
             tree, x, y,
             [&](uint32_t i, uint32_t j) {
@@ -126,7 +137,7 @@ ClosestPair BccpStar(const KdTree<D>& tree, uint32_t a, uint32_t b) {
             },
             best);
       });
-  Stats::Get().bccp_computed.fetch_add(1, std::memory_order_relaxed);
+  internal::CountBccp(distances);
   return best;
 }
 

@@ -47,9 +47,7 @@ template <int D, typename Prune, typename Sep, typename Base>
 void DualTraversePair(const KdTree<D>& t, uint32_t a, uint32_t b,
                       const Prune& prune, const Sep& sep, const Base& base,
                       bool count_visits) {
-  if (count_visits) {
-    Stats::Get().wspd_pairs_visited.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (count_visits) Stats::Add(Stats::kWspdPairsVisited, 1);
   if (prune(a, b)) return;
   if (sep(a, b)) {
     base(a, b, /*separated=*/true);

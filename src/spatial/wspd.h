@@ -76,10 +76,7 @@ std::vector<WspdPair> MaterializeWspd(const KdTree<D>& tree, const Sep& sep) {
     local[Scheduler::Get().MyId()].push_back({a, b});
   });
   std::vector<WspdPair> pairs = Flatten(local);
-  auto& stats = Stats::Get();
-  stats.wspd_pairs_materialized.fetch_add(pairs.size(),
-                                          std::memory_order_relaxed);
-  WriteMax(&stats.wspd_pairs_peak, static_cast<uint64_t>(pairs.size()));
+  Stats::Get().RecordMaterialized(pairs.size());
   return pairs;
 }
 

@@ -1,7 +1,9 @@
 // Observability layer unit tests: metrics registry rendering, latency
 // histogram quantiles vs an exact reference, slow-query log semantics,
 // the span tracer (including the Chrome trace_event JSON dump), and the
-// StatsEpoch scoped-delta contract over util/stats.h.
+// StatsEpoch scoped-delta contract over util/stats.h's per-thread counter
+// slots (exact sums under concurrency, work counts independent of the
+// worker count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +14,16 @@
 #include <thread>
 #include <vector>
 
+#include "data/generators.h"
+#include "emst/emst_memogfk.h"
+#include "hdbscan/hdbscan_mst.h"
 #include "net/stats.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
 #include "obs/sources.h"
 #include "obs/trace.h"
 #include "obs/verb_counters.h"
+#include "parallel/scheduler.h"
 #include "util/stats.h"
 
 namespace parhc {
@@ -409,11 +415,10 @@ TEST(ObsMetricsSource, ExportsTracerAndSlowlogState) {
 // --- StatsEpoch -----------------------------------------------------------
 
 TEST(StatsEpochObs, DeltaIsScopedToTheEpoch) {
-  Stats& s = Stats::Get();
-  s.wspd_pairs_materialized.fetch_add(10, std::memory_order_relaxed);
+  Stats::Add(Stats::kWspdPairsMaterialized, 10);
   StatsEpoch epoch;
-  s.wspd_pairs_materialized.fetch_add(7, std::memory_order_relaxed);
-  s.bccp_computed.fetch_add(3, std::memory_order_relaxed);
+  Stats::Add(Stats::kWspdPairsMaterialized, 7);
+  Stats::Add(Stats::kBccpComputed, 3);
   AlgoCounterSnapshot d = epoch.Delta();
   EXPECT_EQ(d.wspd_pairs_materialized, 7u);
   EXPECT_EQ(d.bccp_computed, 3u);
@@ -422,15 +427,88 @@ TEST(StatsEpochObs, DeltaIsScopedToTheEpoch) {
 
 TEST(StatsEpochObs, ResetPeakZeroesOnlyTheHighWaterMark) {
   Stats& s = Stats::Get();
-  s.wspd_pairs_peak.store(999, std::memory_order_relaxed);
-  uint64_t mat_before =
-      s.wspd_pairs_materialized.load(std::memory_order_relaxed);
+  s.RecordMaterialized(999);
+  uint64_t mat_before = s.Snapshot().wspd_pairs_materialized;
   StatsEpoch epoch(StatsEpoch::kResetPeak);
-  EXPECT_EQ(s.wspd_pairs_peak.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(s.wspd_pairs_materialized.load(std::memory_order_relaxed),
-            mat_before);
-  s.wspd_pairs_peak.store(42, std::memory_order_relaxed);
-  EXPECT_EQ(epoch.Delta().wspd_pairs_peak, 42u);  // high-water, not delta
+  EXPECT_EQ(s.Snapshot().wspd_pairs_peak, 0u);
+  EXPECT_EQ(s.Snapshot().wspd_pairs_materialized, mat_before);
+  s.RecordMaterialized(42);
+  s.RecordMaterialized(5);
+  AlgoCounterSnapshot d = epoch.Delta();
+  EXPECT_EQ(d.wspd_pairs_peak, 42u);  // high-water, not delta
+  EXPECT_EQ(d.wspd_pairs_materialized, 47u);
+}
+
+// Adds from plain threads and from arena workers land in per-thread slots;
+// the epoch delta must still be the exact sum. The second wave of threads
+// reuses the slots the first wave freed on exit, so the counts the first
+// wave left in them must survive.
+TEST(StatsEpochObs, ConcurrentAddsSumExactly) {
+  constexpr int kThreads = 8;
+  constexpr uint64_t kPerThread = 20000;
+  constexpr size_t kLoop = 100000;
+  StatsEpoch epoch;
+  auto wave = [] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          Stats::Add(Stats::kWspdPairsVisited, 1);
+          Stats::Add(Stats::kBccpPointDistances, 3);
+        }
+      });
+    }
+    return threads;
+  };
+  std::vector<std::thread> first = wave();
+  TaskArena arena(4);
+  arena.Execute([] {
+    ParallelFor(0, kLoop, [](size_t i) {
+      Stats::Add(Stats::kBccpComputed, 1);
+      Stats::Add(Stats::kBccpPointDistances, i % 5);
+    });
+  });
+  for (std::thread& t : first) t.join();
+  std::vector<std::thread> second = wave();
+  for (std::thread& t : second) t.join();
+
+  AlgoCounterSnapshot d = epoch.Delta();
+  const uint64_t plain = 2 * kThreads * kPerThread;
+  EXPECT_EQ(d.wspd_pairs_visited, plain);
+  EXPECT_EQ(d.bccp_computed, kLoop);
+  EXPECT_EQ(d.bccp_point_distances, 3 * plain + 2 * kLoop);  // mean i%5 = 2
+  EXPECT_EQ(d.wspd_pairs_materialized, 0u);
+}
+
+// Work counts of one HDBSCAN*-MemoGFK MST and one EMST over `pts`, run
+// inside a `workers`-slot arena.
+AlgoCounterSnapshot MstWork(const std::vector<Point<3>>& pts, int workers) {
+  AlgoCounterSnapshot work;
+  TaskArena arena(workers);
+  arena.Execute([&] {
+    KdTree<3> tree(pts, /*leaf_size=*/1);
+    std::vector<double> core = CoreDistances(tree, 10);
+    StatsEpoch epoch(StatsEpoch::kResetPeak);
+    HdbscanMstOnTree(tree, core);
+    EmstMemoGfkOnTree(tree);
+    work = epoch.Delta();
+  });
+  return work;
+}
+
+// The counts describe the algorithm's work, not the schedule: a slot that
+// dropped increments under contention would make the wide run count less.
+TEST(StatsEpochObs, MstWorkCountsMatchAcrossWorkerCounts) {
+  std::vector<Point<3>> pts = UniformFill<3>(20000, /*seed=*/7);
+  AlgoCounterSnapshot one = MstWork(pts, 1);
+  AlgoCounterSnapshot four = MstWork(pts, 4);
+  EXPECT_GT(one.wspd_pairs_visited, 0u);
+  EXPECT_GE(one.bccp_point_distances, one.bccp_computed);
+  EXPECT_EQ(one.wspd_pairs_visited, four.wspd_pairs_visited);
+  EXPECT_EQ(one.bccp_computed, four.bccp_computed);
+  EXPECT_EQ(one.bccp_point_distances, four.bccp_point_distances);
+  EXPECT_EQ(one.wspd_pairs_materialized, four.wspd_pairs_materialized);
+  EXPECT_EQ(one.wspd_pairs_peak, four.wspd_pairs_peak);
 }
 
 // --- VerbCounters ---------------------------------------------------------
