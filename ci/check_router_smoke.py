@@ -10,7 +10,8 @@ read fan-out), then a sharded one (dyn/geninsert/insert/delete with
 distributed EMST/HDBSCAN* merges) — and asserts every reply matches the
 reference byte-for-byte after dropping the built=/reused= introspection
 tokens (the router's merged-artifact cache keys legitimately differ from
-a single-node engine's; see README "Multi-node serving").
+a single-node engine's; see README "Multi-node serving"). Invalid queries
+on the sharded set must answer the reference's exact `err` line.
 
 Usage: check_router_smoke.py --router PORT --reference PORT
 """
@@ -83,6 +84,17 @@ SCRIPT = [
     "slink s 4",
 ]
 
+# Invalid queries on the sharded set. The router validates through the
+# same AnswerQuery (src/engine/artifact_util.h) as a single node, so every
+# reply must be an `err` line identical to the reference, byte for byte.
+ERR_SCRIPT = [
+    "slink s 0",
+    "hdbscan s 0",
+    "hdbscan s 100000",
+    "clusters s 10 1",
+    "emst s eps 0.5",
+]
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -107,6 +119,14 @@ def main():
         match = strip_artifacts(got) == strip_artifacts(want)
         print(f"{line!r}\n  router: {got!r}\n  single: {want!r}")
         if not match or not got.startswith("ok "):
+            print("  ^^^ MISMATCH", file=sys.stderr)
+            failures += 1
+
+    for line in ERR_SCRIPT:
+        got = router.ask(line)
+        want = ref.ask(line)
+        print(f"{line!r}\n  router: {got!r}\n  single: {want!r}")
+        if got != want or not got.startswith("err "):
             print("  ^^^ MISMATCH", file=sys.stderr)
             failures += 1
 
@@ -143,7 +163,8 @@ def main():
         print(f"\nrouter smoke FAILED ({failures} mismatch(es))",
               file=sys.stderr)
         return 1
-    print(f"\nrouter smoke passed ({len(SCRIPT)} replies identical)")
+    print(f"\nrouter smoke passed "
+          f"({len(SCRIPT) + len(ERR_SCRIPT)} replies identical)")
     return 0
 
 

@@ -6,9 +6,10 @@
 // the union of the per-slice MSTs (computed worker-side by the
 // kOpExportMst / kOpShardMrMst frame verbs) plus one closest-pair edge per
 // well-separated cross pair (s = 2) *between* slices — computed here over
-// router-built kd-trees with the same CrossBccp / CrossBccpStar engines
-// and the same global-id tie-breaks, so the Kruskal run over the merged
-// candidates reproduces the single-node MST bit for bit. The
+// router-built kd-trees by the shard forest's own cross step
+// (CrossBccpEdges over CrossWspdEdges in spatial/cross_traverse.h, with
+// global-id tie-breaks), so the Kruskal run over the merged candidates
+// reproduces the single-node MST bit for bit. The
 // mutual-reachability variant stays exact because the router annotates
 // every slice tree with *globally* merged core distances before the
 // cross traversal (see MergeKnnRows: the k smallest of a union is the
@@ -78,10 +79,7 @@ class Merger : public MergerBase {
   }
 
   std::vector<WeightedEdge> CrossEmstEdges() override {
-    return CrossPairs([](KdTree<D>& ta, KdTree<D>& tb, uint32_t a, uint32_t b,
-                         const auto& ida, const auto& idb) {
-      return CrossBccp(ta, tb, a, b, ida, idb);
-    });
+    return CrossPairs(/*mutual_reach=*/false);
   }
 
   std::vector<WeightedEdge> CrossMrEdges(
@@ -96,41 +94,25 @@ class Merger : public MergerBase {
       }
       trees_[w]->AnnotateCoreDistances(core_local);
     }
-    return CrossPairs([](KdTree<D>& ta, KdTree<D>& tb, uint32_t a, uint32_t b,
-                         const auto& ida, const auto& idb) {
-      return CrossBccpStar(ta, tb, a, b, ida, idb);
-    });
+    return CrossPairs(/*mutual_reach=*/true);
   }
 
  private:
-  /// One closest-pair edge per well-separated cross pair (s = 2) between
-  /// every pair of non-empty slices — the same decomposition
-  /// DynamicArtifacts::CrossCandidates runs shard-pairwise.
-  template <typename BccpFn>
-  std::vector<WeightedEdge> CrossPairs(const BccpFn& bccp) {
-    std::vector<std::vector<WeightedEdge>> local(NumWorkers());
+  /// CrossBccpEdges between every pair of non-empty slices.
+  std::vector<WeightedEdge> CrossPairs(bool mutual_reach) {
+    std::vector<WeightedEdge> out;
     for (size_t i = 0; i < trees_.size(); ++i) {
-      if (trees_[i] == nullptr) continue;
       for (size_t j = i + 1; j < trees_.size(); ++j) {
-        if (trees_[j] == nullptr) continue;
-        KdTree<D>& ta = *trees_[i];
-        KdTree<D>& tb = *trees_[j];
+        if (trees_[i] == nullptr || trees_[j] == nullptr) continue;
         const std::vector<uint32_t>& da = dense_[i];
         const std::vector<uint32_t>& db = dense_[j];
-        auto ida = [&](uint32_t t) { return da[t]; };
-        auto idb = [&](uint32_t t) { return db[t]; };
-        CrossDualTraverse(
-            ta, tb, [](uint32_t, uint32_t) { return false; },
-            [&](uint32_t a, uint32_t b) {
-              return WellSeparated(ta.NodeBox(a), tb.NodeBox(b), 2.0);
-            },
-            [&](uint32_t a, uint32_t b, bool /*separated*/) {
-              ClosestPair cp = bccp(ta, tb, a, b, ida, idb);
-              local[Scheduler::Get().MyId()].push_back({cp.u, cp.v, cp.dist});
-            });
+        std::vector<WeightedEdge> edges = CrossBccpEdges(
+            *trees_[i], *trees_[j], [&](uint32_t t) { return da[t]; },
+            [&](uint32_t t) { return db[t]; }, mutual_reach);
+        out.insert(out.end(), edges.begin(), edges.end());
       }
     }
-    return Flatten(local);
+    return out;
   }
 
   std::vector<std::unique_ptr<KdTree<D>>> trees_;

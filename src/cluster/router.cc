@@ -18,10 +18,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "dendrogram/cluster_extraction.h"
-#include "dendrogram/reachability.h"
 #include "graph/kruskal.h"
-#include "hdbscan/stability.h"
 #include "obs/trace.h"
 #include "obs/verb_counters.h"
 #include "store/manifest.h"
@@ -181,6 +178,12 @@ std::string Router::ShardedInsert(Dataset& ds, const std::string& name,
   std::vector<std::vector<double>> flat(w_count);
   std::vector<size_t> counts(w_count, 0);
   for (size_t i = 0; i < rows.size(); ++i) {
+    // Refused here, before any worker mutates: a worker refusing its
+    // sub-batch would leave the others inserted.
+    if (!AllFinite(rows[i].data(), rows[i].size())) {
+      return StrPrintf("err %s %s: %s\n", verb, name.c_str(),
+                       kNonFiniteCoordinates);
+    }
     size_t w = OwnerOfGid(first + static_cast<uint32_t>(i), w_count);
     ++counts[w];
     flat[w].insert(flat[w].end(), rows[i].begin(), rows[i].end());
@@ -424,8 +427,7 @@ std::string Router::ShardedLoad(const std::string& name,
 
 // ---- merged query pipeline (sharded datasets) ---------------------------
 
-bool Router::EnsureMirror(Dataset& ds, EngineResponse* out,
-                          std::string* fail) {
+bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
   if (ds.merged && ds.merged->epoch == ds.epoch && ds.merged->mirror_ok) {
     TraceArtifact(out, /*built=*/false, "mirror");
     return true;
@@ -452,7 +454,7 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out,
   }
   for (size_t w = 0; w < w_count; ++w) {
     if (!expect[w].empty() && !pool_.at(w).healthy()) {
-      *fail = "worker " + pool_.at(w).addr() + " is unhealthy";
+      out->error = "worker " + pool_.at(w).addr() + " is unhealthy";
       return false;
     }
   }
@@ -518,14 +520,14 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out,
   });
   for (size_t w = 0; w < w_count; ++w) {
     if (!errs[w].empty()) {
-      *fail = errs[w];
+      out->error = errs[w];
       return false;
     }
   }
   merged->dense_gids = std::move(dense_gids);
   merged->merger = MakeMerger(dim);
   if (!merged->merger) {
-    *fail = "unsupported dataset dimension " + std::to_string(dim);
+    out->error = "unsupported dataset dimension " + std::to_string(dim);
     return false;
   }
   merged->merger->SetWorkers(slices);
@@ -535,8 +537,7 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out,
   return true;
 }
 
-bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
-                       std::string* fail) {
+bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out) {
   Merged& m = *ds.merged;
   if (m.knn_ok && m.knn_k >= k) {
     TraceArtifact(out, /*built=*/false, "knn@" + std::to_string(m.knn_k));
@@ -584,7 +585,7 @@ bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
   });
   for (const std::string& e : errs) {
     if (!e.empty()) {
-      *fail = e;
+      out->error = e;
       return false;
     }
   }
@@ -596,149 +597,46 @@ bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
 }
 
 std::shared_ptr<const std::vector<double>> Router::CoreDist(
-    Dataset& ds, int min_pts, EngineResponse* out, std::string* fail) {
+    Dataset& ds, int min_pts, EngineResponse* out) {
   Merged& m = *ds.merged;
   const std::string key = "cd@" + std::to_string(min_pts);
-  auto it = m.core.find(min_pts);
-  if (it != m.core.end()) {
+  auto it = m.clusterings.core.find(min_pts);
+  if (it != m.clusterings.core.end()) {
     TraceArtifact(out, /*built=*/false, key);
     return it->second;
   }
-  if (!EnsureKnn(ds, static_cast<size_t>(min_pts), out, fail)) return nullptr;
+  if (!EnsureKnn(ds, static_cast<size_t>(min_pts), out)) return nullptr;
   size_t n = ds.live_n;
   size_t stride = m.knn_k;
   auto cd = std::make_shared<std::vector<double>>(n);
   for (size_t i = 0; i < n; ++i) {
     (*cd)[i] = std::sqrt(m.knn_sq[i * stride + (min_pts - 1)]);
   }
-  m.core.emplace(min_pts, cd);
+  m.clusterings.core.emplace(min_pts, cd);
   TraceArtifact(out, /*built=*/true, key);
   return cd;
 }
 
-ClusteringEntry* Router::Hdbscan(Dataset& ds, int min_pts, bool need_plot,
-                                 EngineResponse* out, std::string* fail) {
+template <typename Append>
+std::shared_ptr<const std::vector<WeightedEdge>> Router::MergedMst(
+    Dataset& ds, uint8_t opcode, const char* what, const Append& append,
+    std::vector<WeightedEdge> edges, EngineResponse* out) {
   Merged& m = *ds.merged;
-  const std::string suffix = "@" + std::to_string(min_pts);
-  auto it = m.hdbscan.find(min_pts);
-  if (it == m.hdbscan.end()) {
-    auto cd = CoreDist(ds, min_pts, out, fail);
-    if (!cd) return nullptr;
-    size_t n = ds.live_n;
-    std::vector<WeightedEdge> candidates;
-    std::vector<std::string> errs(pool_.size());
-    std::mutex cand_mu;
-    pool_.ForEach([&](size_t w, Upstream& up) {
-      if (m.worker_dense[w].empty()) return;
-      // Per-worker MR-MST under the *globally* merged core distances, in
-      // the worker's ascending-gid order.
-      std::string payload;
-      net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-      payload += ds.name;
-      net::PutU32(&payload,
-                  static_cast<uint32_t>(m.worker_dense[w].size()));
-      for (uint32_t dense : m.worker_dense[w]) {
-        net::PutF64(&payload, (*cd)[dense]);
-      }
-      net::WireMessage req;
-      req.binary = true;
-      req.opcode = net::kOpShardMrMst;
-      req.payload = std::move(payload);
-      net::WireMessage reply;
-      if (!up.Roundtrip(req, &reply, nullptr)) {
-        errs[w] = "worker " + up.addr() + " failed during MR-MST fan-out";
-        return;
-      }
-      if (!reply.binary || reply.opcode != net::kOpEdgesReply) {
-        errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-        return;
-      }
-      net::PayloadReader rd(reply.payload);
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) * 16) {
-        errs[w] = "worker " + up.addr() + " sent a malformed edges reply";
-        return;
-      }
-      std::vector<WeightedEdge> edges(count);
-      for (WeightedEdge& e : edges) {
-        uint32_t lu = rd.GetU32();
-        uint32_t lv = rd.GetU32();
-        double wgt = rd.GetF64();
-        uint32_t du = 0, dv = 0;
-        if (!DenseOfLocal(m.worker_local[w], m.worker_dense[w], lu, &du) ||
-            !DenseOfLocal(m.worker_local[w], m.worker_dense[w], lv, &dv)) {
-          errs[w] = "worker " + up.addr() + " returned an unknown edge id";
-          return;
-        }
-        e = {du, dv, wgt};
-      }
-      std::lock_guard<std::mutex> lock(cand_mu);
-      candidates.insert(candidates.end(), edges.begin(), edges.end());
-    });
-    for (const std::string& e : errs) {
-      if (!e.empty()) {
-        *fail = e;
-        return nullptr;
-      }
-    }
-    std::vector<WeightedEdge> cross = m.merger->CrossMrEdges(*cd);
-    candidates.insert(candidates.end(), cross.begin(), cross.end());
-    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-    PARHC_CHECK_MSG(mst.size() + 1 == n,
-                    "cluster MR-MST candidates did not span");
-    auto entry = std::make_unique<ClusteringEntry>();
-    entry->core_dist = cd;
-    entry->mst_weight = TotalEdgeWeight(mst);
-    entry->mst =
-        std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-    TraceArtifact(out, /*built=*/true, "mst" + suffix);
-    it = m.hdbscan.emplace(min_pts, std::move(entry)).first;
-    EvictLruClusterings(m.hdbscan, m.core, min_pts);
-  } else {
-    TraceArtifact(out, /*built=*/false, "mst" + suffix);
-  }
-  ClusteringEntry& e = *it->second;
-  if (!e.dendrogram) {
-    e.dendrogram = BuildDendrogramArtifact(ds.live_n, *e.mst);
-    TraceArtifact(out, /*built=*/true, "dendro" + suffix);
-  } else {
-    TraceArtifact(out, /*built=*/false, "dendro" + suffix);
-  }
-  if (need_plot) {
-    if (!e.plot) {
-      e.plot = std::make_shared<const ReachabilityPlot>(
-          ComputeReachability(*e.dendrogram));
-      TraceArtifact(out, /*built=*/true, "reach" + suffix);
-    } else {
-      TraceArtifact(out, /*built=*/false, "reach" + suffix);
-    }
-  }
-  TouchClusteringEntry(e, m.clock);
-  return &e;
-}
-
-bool Router::EnsureEmst(Dataset& ds, EngineResponse* out, std::string* fail) {
-  Merged& m = *ds.merged;
-  if (m.emst_ok) {
-    TraceArtifact(out, /*built=*/false, "forest-emst");
-    return true;
-  }
-  size_t n = ds.live_n;
-  std::vector<WeightedEdge> candidates;
   std::vector<std::string> errs(pool_.size());
-  std::mutex cand_mu;
+  std::mutex edges_mu;
   pool_.ForEach([&](size_t w, Upstream& up) {
     if (m.worker_dense[w].empty()) return;
     std::string payload;
     net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
     payload += ds.name;
+    append(w, &payload);
     net::WireMessage req;
     req.binary = true;
-    req.opcode = net::kOpExportMst;
+    req.opcode = opcode;
     req.payload = std::move(payload);
     net::WireMessage reply;
     if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during EMST fan-out";
+      errs[w] = "worker " + up.addr() + " failed during " + what + " fan-out";
       return;
     }
     if (!reply.binary || reply.opcode != net::kOpEdgesReply) {
@@ -751,8 +649,8 @@ bool Router::EnsureEmst(Dataset& ds, EngineResponse* out, std::string* fail) {
       errs[w] = "worker " + up.addr() + " sent a malformed edges reply";
       return;
     }
-    std::vector<WeightedEdge> edges(count);
-    for (WeightedEdge& e : edges) {
+    std::vector<WeightedEdge> got(count);
+    for (WeightedEdge& e : got) {
       uint32_t lu = rd.GetU32();
       uint32_t lv = rd.GetU32();
       double wgt = rd.GetF64();
@@ -764,126 +662,85 @@ bool Router::EnsureEmst(Dataset& ds, EngineResponse* out, std::string* fail) {
       }
       e = {du, dv, wgt};
     }
-    std::lock_guard<std::mutex> lock(cand_mu);
-    candidates.insert(candidates.end(), edges.begin(), edges.end());
+    std::lock_guard<std::mutex> lock(edges_mu);
+    edges.insert(edges.end(), got.begin(), got.end());
   });
   for (const std::string& e : errs) {
     if (!e.empty()) {
-      *fail = e;
-      return false;
+      out->error = e;
+      return nullptr;
     }
   }
-  std::vector<WeightedEdge> cross = m.merger->CrossEmstEdges();
-  candidates.insert(candidates.end(), cross.begin(), cross.end());
-  std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-  PARHC_CHECK_MSG(mst.size() + 1 == n,
-                  "cluster EMST candidates did not span all points");
-  m.emst_weight = TotalEdgeWeight(mst);
-  m.emst_mst =
-      std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-  m.emst_dendro.reset();
-  m.emst_ok = true;
+  std::vector<WeightedEdge> mst = KruskalMst(ds.live_n, std::move(edges));
+  PARHC_CHECK_MSG(mst.size() + 1 == ds.live_n,
+                  "cluster MST candidates did not span all points");
+  return std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
+}
+
+std::shared_ptr<ClusteringEntry> Router::BuildClustering(
+    Dataset& ds, int min_pts, EngineResponse* out) {
+  Merged& m = *ds.merged;
+  auto cd = CoreDist(ds, min_pts, out);
+  if (!cd) return nullptr;
+  // Per-worker MR-MSTs under the *globally* merged core distances, in each
+  // worker's ascending-gid order.
+  auto append_core = [&](size_t w, std::string* payload) {
+    net::PutU32(payload, static_cast<uint32_t>(m.worker_dense[w].size()));
+    for (uint32_t dense : m.worker_dense[w]) net::PutF64(payload, (*cd)[dense]);
+  };
+  auto mst = MergedMst(ds, net::kOpShardMrMst, "MR-MST", append_core,
+                       m.merger->CrossMrEdges(*cd), out);
+  if (!mst) return nullptr;
+  auto e = std::make_shared<ClusteringEntry>();
+  e->core_dist = cd;
+  e->mst = mst;
+  e->mst_weight = TotalEdgeWeight(*mst);
+  return e;
+}
+
+bool Router::EnsureEmst(Dataset& ds, EngineResponse* out) {
+  Merged& m = *ds.merged;
+  if (m.emst.mst) {
+    TraceArtifact(out, /*built=*/false, "forest-emst");
+    return true;
+  }
+  m.emst.mst = MergedMst(ds, net::kOpExportMst, "EMST",
+                         [](size_t, std::string*) {},
+                         m.merger->CrossEmstEdges(), out);
+  if (!m.emst.mst) return false;
+  m.emst.mst_weight = TotalEdgeWeight(*m.emst.mst);
   TraceArtifact(out, /*built=*/true, "forest-emst");
   return true;
 }
 
-bool Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
+void Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
                            EngineResponse* out) {
   if (!ds.degraded.empty()) {
     out->error = ds.degraded;
-    return true;
+    return;
   }
-  if (ds.live_n == 0) {
-    out->error = "dataset is empty";
-    return true;
-  }
-  // Same validation order (and strings) as the single-node dynamic
-  // backend, so error responses match byte for byte.
-  bool emst_family = req.type == QueryType::kEmst ||
-                     req.type == QueryType::kSingleLinkage;
-  if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
-    out->error = "eps EMST is supported on static datasets only";
-    return true;
-  }
-  bool need_dendro = req.type == QueryType::kSingleLinkage;
-  if (need_dendro && (req.k < 1 || req.k > ds.live_n)) {
-    out->error = "k must be in [1, n]";
-    return true;
-  }
-  if (!emst_family) {
-    if (req.min_pts < 1 || static_cast<size_t>(req.min_pts) > ds.live_n) {
-      out->error = "min_pts must be in [1, n]";
-      return true;
-    }
-    if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
-      out->error = "min_cluster_size must be >= 2";
-      return true;
-    }
-  }
-  std::string fail;
-  if (!EnsureMirror(ds, out, &fail)) {
-    out->error = fail;
-    return true;
-  }
-  Merged& m = *ds.merged;
-  if (emst_family) {
-    if (!EnsureEmst(ds, out, &fail)) {
-      out->error = fail;
-      return true;
-    }
-    if (need_dendro) {
-      if (!m.emst_dendro) {
-        m.emst_dendro = BuildDendrogramArtifact(ds.live_n, *m.emst_mst);
-        TraceArtifact(out, /*built=*/true, "sl-dendro");
-      } else {
-        TraceArtifact(out, /*built=*/false, "sl-dendro");
-      }
-    }
-    out->mst = m.emst_mst;
-    out->mst_weight = m.emst_weight;
-    out->point_ids = m.dense_gids;
-    if (need_dendro) {
-      out->dendrogram = m.emst_dendro;
-      out->labels = KClusters(*m.emst_dendro, req.k);
-      SummarizeLabels(out->labels, out);
-    }
-    out->ok = true;
-    return true;
-  }
-  bool need_plot = req.type == QueryType::kReachability;
-  ClusteringEntry* e = Hdbscan(ds, req.min_pts, need_plot, out, &fail);
-  if (e == nullptr) {
-    out->error = fail;
-    return true;
-  }
-  out->core_dist = e->core_dist;
-  out->point_ids = m.dense_gids;
-  switch (req.type) {
-    case QueryType::kHdbscan:
-      out->mst = e->mst;
-      out->mst_weight = e->mst_weight;
-      out->dendrogram = e->dendrogram;
-      break;
-    case QueryType::kDbscanStarAt:
-      out->labels = DbscanStarLabels(*e->dendrogram, *e->core_dist, req.eps);
-      SummarizeLabels(out->labels, out);
-      break;
-    case QueryType::kReachability:
-      out->plot = e->plot;
-      break;
-    case QueryType::kStableClusters: {
-      StabilityClusters sc =
-          ExtractStableClusters(*e->dendrogram, req.min_cluster_size);
-      out->labels = std::move(sc.label);
-      out->stability = std::move(sc.stability);
-      SummarizeLabels(out->labels, out);
-      break;
-    }
-    default:
-      break;
-  }
-  out->ok = true;
-  return true;
+  AnswerQuery(
+      req, ds.live_n, out,
+      [&](bool need_dendro, EmstView* v) {
+        if (!EnsureMirror(ds, out) || !EnsureEmst(ds, out)) return true;
+        Merged& m = *ds.merged;
+        auto dendro = [&] {
+          return BuildDendrogramArtifact(ds.live_n, *m.emst.mst);
+        };
+        if (need_dendro) {
+          EnsureDerived(m.emst.dendrogram, "sl-dendro", /*allow_build=*/true,
+                        out, dendro);
+        }
+        *v = m.emst;
+        return true;
+      },
+      [&](int min_pts, bool need_plot, ClusteringView* v) {
+        if (!EnsureMirror(ds, out)) return true;
+        return ds.merged->clusterings.View(
+            min_pts, need_plot, ds.live_n, /*allow_build=*/true, out,
+            [&] { return BuildClustering(ds, min_pts, out); }, v);
+      });
+  if (out->ok) out->point_ids = ds.merged->dense_gids;
 }
 
 // ---- recovery -----------------------------------------------------------

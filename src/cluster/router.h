@@ -20,9 +20,12 @@
 //    EMST / HDBSCAN* / kNN answers are bit-identical to a single-node
 //    engine over the union — same MST edge set, same Kruskal edge order,
 //    same dendrogram, same labels (tests/cluster_test.cc holds this).
-//    Response lines differ only in the built=/reused= introspection keys
-//    (the router traces its own artifact scheme; a single-node dynamic
-//    backend's keys embed LSM content ids no other process can know).
+//    Validation, label extraction and the response fill are the
+//    single-node code itself (AnswerQuery, engine/artifact_util.h), so
+//    error responses are the same too. Response lines differ only in the
+//    built=/reused= introspection keys (the router traces its own artifact
+//    scheme; a single-node dynamic backend's keys embed LSM content ids no
+//    other process can know).
 //
 // Failure semantics: health checks eject dead upstreams (reads skip them;
 // sharded operations whose owners are down fail loudly). A recovered
@@ -102,9 +105,10 @@ class Router {
   void HealthPassNow(uint64_t now_ms);
 
  private:
-  /// Merged-artifact cache of one sharded dataset — the router-tier mirror
-  /// of the dynamic backend's global tier, invalidated wholesale when the
-  /// dataset's epoch moves.
+  /// Merged-artifact cache of one sharded dataset, the router's global
+  /// tier: invalidated wholesale when the dataset's epoch moves, queried
+  /// through the same AnswerQuery and ClusteringCache
+  /// (engine/artifact_util.h) as the single-node backends.
   struct Merged {
     uint64_t epoch = 0;
     bool mirror_ok = false;
@@ -118,13 +122,8 @@ class Router {
     bool knn_ok = false;
     size_t knn_k = 0;
     std::vector<double> knn_sq;  ///< n x knn_k sorted squared distances
-    std::map<int, std::shared_ptr<const std::vector<double>>> core;
-    std::map<int, std::unique_ptr<ClusteringEntry>> hdbscan;
-    std::atomic<uint64_t> clock{0};
-    bool emst_ok = false;
-    std::shared_ptr<const std::vector<WeightedEdge>> emst_mst;
-    double emst_weight = 0;
-    std::shared_ptr<const Dendrogram> emst_dendro;
+    ClusteringCache clusterings;
+    EmstView emst;
   };
 
   struct Dataset {
@@ -171,18 +170,26 @@ class Router {
   std::string ShardedSave(Dataset& ds, const std::string& name,
                           const std::string& dir);
   std::string ShardedLoad(const std::string& name, const std::string& dir);
-  bool AnswerSharded(Dataset& ds, const EngineRequest& req,
+  /// Answers a query on a sharded dataset through AnswerQuery; the steps
+  /// below report failures in out->error.
+  void AnswerSharded(Dataset& ds, const EngineRequest& req,
                      EngineResponse* out);
-  bool EnsureMirror(Dataset& ds, EngineResponse* out, std::string* fail);
-  bool EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
-                 std::string* fail);
+  bool EnsureMirror(Dataset& ds, EngineResponse* out);
+  bool EnsureKnn(Dataset& ds, size_t k, EngineResponse* out);
   std::shared_ptr<const std::vector<double>> CoreDist(Dataset& ds,
                                                       int min_pts,
-                                                      EngineResponse* out,
-                                                      std::string* fail);
-  ClusteringEntry* Hdbscan(Dataset& ds, int min_pts, bool need_plot,
-                           EngineResponse* out, std::string* fail);
-  bool EnsureEmst(Dataset& ds, EngineResponse* out, std::string* fail);
+                                                      EngineResponse* out);
+  std::shared_ptr<ClusteringEntry> BuildClustering(Dataset& ds, int min_pts,
+                                                   EngineResponse* out);
+  bool EnsureEmst(Dataset& ds, EngineResponse* out);
+  /// The merged MST of a sharded dataset: Kruskal over the cross-slice
+  /// `edges` plus every slice MST, fetched with one `opcode` frame (the
+  /// dataset name, then `append(w, &payload)`) per worker holding a slice
+  /// and remapped to dense ids. Null after setting out->error.
+  template <typename Append>
+  std::shared_ptr<const std::vector<WeightedEdge>> MergedMst(
+      Dataset& ds, uint8_t opcode, const char* what, const Append& append,
+      std::vector<WeightedEdge> edges, EngineResponse* out);
   void Reseed(size_t worker);
   void ReseedSharded(size_t worker, Dataset& ds);
   std::string ClusterStatsText() const;

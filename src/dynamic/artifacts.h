@@ -35,6 +35,11 @@
 // every shard once); a delete invalidates the rows wholesale, since a
 // vanished neighbor cannot be repaired locally.
 //
+// Queries go through AnswerQuery (engine/artifact_util.h), the validation
+// and response fill shared with the static and router backends; cross
+// candidates come from CrossWspdEdges (spatial/cross_traverse.h), the one
+// cross step shared with the router and the high-dimensional EMST.
+//
 // Per-point outputs (core distances, labels, dendrograms, MST endpoints)
 // use *dense* indices: position i corresponds to the i-th live global id in
 // ascending order (EngineResponse::point_ids carries the mapping). Because
@@ -47,7 +52,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -58,17 +62,13 @@
 #include <utility>
 #include <vector>
 
-#include "dendrogram/cluster_extraction.h"
-#include "dendrogram/reachability.h"
 #include "dynamic/forest.h"
 #include "engine/artifact_util.h"
 #include "engine/request.h"
 #include "graph/kruskal.h"
 #include "hdbscan/hdbscan_mst.h"
-#include "hdbscan/stability.h"
 #include "spatial/cross_traverse.h"
 #include "spatial/knn.h"
-#include "spatial/wspd.h"
 #include "store/artifact_io.h"
 #include "store/manifest.h"
 
@@ -81,7 +81,9 @@ class DynamicArtifacts {
   size_t num_shards() const { return forest_.num_shards(); }
   size_t num_tombstones() const { return forest_.dead_count(); }
   size_t knn_k() const { return knn_valid_ ? knn_k_ : 0; }
-  size_t num_cached_clusterings() const { return hdbscan_.size(); }
+  size_t num_cached_clusterings() const {
+    return clusterings_.entries.size();
+  }
   uint32_t next_gid() const { return forest_.next_gid(); }
   /// Entries in the dense gid map — O(live points) by construction;
   /// regression-tested against churn alongside the forest locator.
@@ -134,64 +136,21 @@ class DynamicArtifacts {
                              std::numeric_limits<double>::infinity());
     size_t n = forest_.live_count();
     if (n == 0 || queries.empty()) return rows;
-    size_t cap = std::min(k, n);
-    for (size_t s = 0; s < forest_.num_shards(); ++s) {
-      forest_.shard(s).tree();  // build outside the parallel loop
-    }
-    std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
-        NumWorkers());
-    ParallelFor(0, queries.size(), [&](size_t i) {
-      auto& buf = scratch[Scheduler::Get().MyId()];
-      if (buf.size() < cap) buf.resize(cap);
-      internal::KnnHeap heap(cap, buf.data());
-      for (size_t s = 0; s < forest_.num_shards(); ++s) {
-        internal::KnnQueryInto(forest_.shard(s).tree(), queries[i], heap);
-      }
-      std::sort(buf.data(), buf.data() + heap.size());
-      double* row = rows.data() + i * k;
-      for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
-    });
+    auto query = [&](size_t i) -> const Point<D>& { return queries[i]; };
+    KnnRowsInto(queries.size(), query, std::min(k, n), k, rows.data());
     return rows;
   }
 
   /// The forest's MR-MST under externally supplied *global* core
   /// distances (`core[i]` = core distance of the i-th live gid ascending),
   /// with gid endpoints — the per-worker part of the router's distributed
-  /// HDBSCAN* merge (net kOpShardMrMst). Built exactly like the local
-  /// HDBSCAN* path: per-shard MR-MSTs (annotating each shard tree) plus
-  /// cross BCCP* candidates, Kruskal'd down to live_count - 1 edges.
-  /// Issues parallel work; engine runs it on the build executor under the
-  /// exclusive lock.
+  /// HDBSCAN* merge (net kOpShardMrMst), built by the same ForestMrMst as
+  /// the local HDBSCAN* path. Issues parallel work; engine runs it on the
+  /// build executor under the exclusive lock.
   std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
-    size_t n = forest_.live_count();
-    if (n < 2) return {};
+    if (forest_.live_count() < 2) return {};
     EnsureDense();
-    std::vector<WeightedEdge> candidates;
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      Shard<D>& s = forest_.shard(i);
-      const std::vector<uint32_t>& lg = s.live_gids();
-      std::vector<double> cd_local(lg.size());
-      for (size_t l = 0; l < lg.size(); ++l) {
-        cd_local[l] = core[DenseOf(lg[l])];
-      }
-      std::vector<WeightedEdge> edges = HdbscanMstOnTree(s.tree(), cd_local);
-      for (WeightedEdge& e : edges) {
-        e.u = lg[e.u];
-        e.v = lg[e.v];
-      }
-      candidates.insert(candidates.end(), edges.begin(), edges.end());
-    }
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
-        std::vector<WeightedEdge> edges =
-            CrossHdbscanCandidates(forest_.shard(i), forest_.shard(j));
-        candidates.insert(candidates.end(), edges.begin(), edges.end());
-      }
-    }
-    ToDense(candidates);
-    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-    PARHC_CHECK_MSG(mst.size() + 1 == n,
-                    "shard MR-MST candidates did not span all points");
+    std::vector<WeightedEdge> mst = ForestMrMst(core);
     for (WeightedEdge& e : mst) {
       e.u = (*ids_dense_)[e.u];
       e.v = (*ids_dense_)[e.v];
@@ -202,22 +161,25 @@ class DynamicArtifacts {
   /// Same contract as DatasetArtifacts::Answer.
   bool Answer(const EngineRequest& req, bool allow_build,
               EngineResponse* out) {
-    if (forest_.live_count() == 0) {
-      out->error = "dataset is empty";
-      return true;
-    }
-    switch (req.type) {
-      case QueryType::kEmst:
-      case QueryType::kSingleLinkage:
-        return AnswerEmstFamily(req, allow_build, out);
-      case QueryType::kHdbscan:
-      case QueryType::kDbscanStarAt:
-      case QueryType::kReachability:
-      case QueryType::kStableClusters:
-        return AnswerHdbscanFamily(req, allow_build, out);
-    }
-    out->error = "unknown query type";
-    return true;
+    bool answered = AnswerQuery(
+        req, forest_.live_count(), out,
+        [&](bool need_dendro, EmstView* v) {
+          return Emst(need_dendro, allow_build, out, v);
+        },
+        [&](int min_pts, bool need_plot, ClusteringView* v) {
+          auto build = [&] {
+            auto e = std::make_shared<ClusteringEntry>();
+            e->core_dist = CoreDist(min_pts, out);
+            e->mst = std::make_shared<const std::vector<WeightedEdge>>(
+                ForestMrMst(*e->core_dist));
+            e->mst_weight = TotalEdgeWeight(*e->mst);
+            return e;
+          };
+          return clusterings_.View(min_pts, need_plot, forest_.live_count(),
+                                   allow_build, out, build, v);
+        });
+    if (out->ok) out->point_ids = ids_dense_;
+    return answered;
   }
 
   /// Writes the forest (per-shard files: full point batches + tombstone
@@ -330,10 +292,6 @@ class DynamicArtifacts {
  private:
   static constexpr uint64_t kNoEpoch = std::numeric_limits<uint64_t>::max();
 
-  using HdbscanEntry = ClusteringEntry;
-
-  void Touch(HdbscanEntry& e) { TouchClusteringEntry(e, clock_); }
-
   // --- shard snapshot IO (store) -----------------------------------------
 
   static void SaveShardSnapshot(const std::string& path, const Shard<D>& s) {
@@ -368,6 +326,7 @@ class DynamicArtifacts {
     store_internal::RequireSectionSize(f, pts.size(), n, "shard points");
     store_internal::RequireSectionSize(f, gids.size(), n, "shard gids");
     store_internal::RequireSectionSize(f, dead.size(), n, "shard tombstones");
+    store_internal::RequireFinitePoints(f, pts);
     size_t live = 0;
     for (uint64_t i = 0; i < n; ++i) {
       if (gids[i] >= next_gid || (i > 0 && gids[i - 1] >= gids[i])) {
@@ -410,10 +369,9 @@ class DynamicArtifacts {
 
   void InvalidateGlobalTier() {
     emst_epoch_ = kNoEpoch;
-    emst_mst_.reset();
-    emst_dendro_.reset();
-    hdbscan_.clear();
-    core_.clear();
+    emst_ = EmstView();
+    clusterings_.entries.clear();
+    clusterings_.core.clear();
     ids_dense_.reset();
     dense_of_gid_.clear();
   }
@@ -442,66 +400,36 @@ class DynamicArtifacts {
     return it->second;
   }
 
-  /// Remaps gid-space edges to dense indices in place. Concurrent
-  /// const-only hash lookups are safe.
-  void ToDense(std::vector<WeightedEdge>& edges) const {
+  /// Kruskal over gid-space candidates, remapped to dense indices in
+  /// place (concurrent const-only hash lookups are safe): the spanning
+  /// tree of the live points, with dense endpoints.
+  std::vector<WeightedEdge> DenseKruskal(std::vector<WeightedEdge> edges) const {
     ParallelFor(0, edges.size(), [&](size_t i) {
       edges[i].u = DenseOf(edges[i].u);
       edges[i].v = DenseOf(edges[i].v);
     });
+    size_t n = forest_.live_count();
+    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(edges));
+    PARHC_CHECK_MSG(mst.size() + 1 == n,
+                    "shard-forest MST candidates did not span all points");
+    return mst;
   }
 
   // --- cross candidate edges (cross tier) --------------------------------
 
-  /// Cross candidates between two shards: one closest-pair edge (from
-  /// `bccp(ta, tb, a, b, ida, idb)`) per well-separated cross pair
-  /// (s = 2), in gid space.
-  template <typename BccpFn>
-  static std::vector<WeightedEdge> CrossCandidates(Shard<D>& sa,
-                                                   Shard<D>& sb,
-                                                   const BccpFn& bccp) {
-    KdTree<D>& ta = sa.tree();
-    KdTree<D>& tb = sb.tree();
+  /// Cross candidates between two shards, in gid space. The
+  /// `mutual_reach` edges need both shard trees annotated with the current
+  /// global core distances and are not cached: their weights change with
+  /// every core-distance epoch, unlike the Euclidean cross tier.
+  static std::vector<WeightedEdge> CrossCandidates(Shard<D>& sa, Shard<D>& sb,
+                                                   bool mutual_reach) {
+    const KdTree<D>& ta = sa.tree();
+    const KdTree<D>& tb = sb.tree();
     const std::vector<uint32_t>& ga = sa.live_gids();
     const std::vector<uint32_t>& gb = sb.live_gids();
-    auto ida = [&](uint32_t i) { return ga[i]; };
-    auto idb = [&](uint32_t j) { return gb[j]; };
-    std::vector<std::vector<WeightedEdge>> local(NumWorkers());
-    CrossDualTraverse(
-        ta, tb, [](uint32_t, uint32_t) { return false; },
-        [&](uint32_t a, uint32_t b) {
-          return WellSeparated(ta.NodeBox(a), tb.NodeBox(b), 2.0);
-        },
-        [&](uint32_t a, uint32_t b, bool /*separated*/) {
-          ClosestPair cp = bccp(ta, tb, a, b, ida, idb);
-          local[Scheduler::Get().MyId()].push_back({cp.u, cp.v, cp.dist});
-        });
-    return Flatten(local);
-  }
-
-  /// Euclidean cross candidates (cross BCCP).
-  static std::vector<WeightedEdge> CrossEmstCandidates(Shard<D>& sa,
-                                                       Shard<D>& sb) {
-    return CrossCandidates(
-        sa, sb,
-        [](KdTree<D>& ta, KdTree<D>& tb, uint32_t a, uint32_t b,
-           const auto& ida, const auto& idb) {
-          return CrossBccp(ta, tb, a, b, ida, idb);
-        });
-  }
-
-  /// Mutual-reachability cross candidates (cross BCCP*). Both shard trees
-  /// must already be annotated with the current global core distances. Not
-  /// cached: the weights change with every core-distance epoch, unlike the
-  /// Euclidean cross tier.
-  static std::vector<WeightedEdge> CrossHdbscanCandidates(Shard<D>& sa,
-                                                          Shard<D>& sb) {
-    return CrossCandidates(
-        sa, sb,
-        [](KdTree<D>& ta, KdTree<D>& tb, uint32_t a, uint32_t b,
-           const auto& ida, const auto& idb) {
-          return CrossBccpStar(ta, tb, a, b, ida, idb);
-        });
+    return CrossBccpEdges(
+        ta, tb, [&](uint32_t i) { return ga[i]; },
+        [&](uint32_t j) { return gb[j]; }, mutual_reach);
   }
 
   /// Drops cross-tier cache entries that mention a content id no longer in
@@ -528,7 +456,7 @@ class DynamicArtifacts {
   // --- EMST family -------------------------------------------------------
 
   bool EnsureEmst(bool allow_build, EngineResponse* out) {
-    if (emst_mst_ && emst_epoch_ == forest_.epoch()) {
+    if (emst_.mst && emst_epoch_ == forest_.epoch()) {
       TraceArtifact(out, /*built=*/false, "forest-emst");
       return true;
     }
@@ -555,64 +483,39 @@ class DynamicArtifacts {
         std::string trace_key = "xemst@" + std::to_string(key.first) + "-" +
                                 std::to_string(key.second);
         auto it = cross_.find(key);
-        if (it == cross_.end()) {
-          it = cross_.emplace(key, CrossEmstCandidates(sa, sb)).first;
-          TraceArtifact(out, /*built=*/true, trace_key);
-        } else {
-          TraceArtifact(out, /*built=*/false, trace_key);
+        bool built = it == cross_.end();
+        if (built) {
+          std::vector<WeightedEdge> edges =
+              CrossCandidates(sa, sb, /*mutual_reach=*/false);
+          it = cross_.emplace(key, std::move(edges)).first;
         }
+        TraceArtifact(out, built, trace_key);
         candidates.insert(candidates.end(), it->second.begin(),
                           it->second.end());
       }
     }
-    ToDense(candidates);
-    size_t n = forest_.live_count();
-    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-    PARHC_CHECK_MSG(mst.size() + 1 == n,
-                    "shard-forest EMST candidates did not span all points");
-    emst_weight_ = TotalEdgeWeight(mst);
-    emst_mst_ =
+    std::vector<WeightedEdge> mst = DenseKruskal(std::move(candidates));
+    emst_.mst_weight = TotalEdgeWeight(mst);
+    emst_.mst =
         std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-    emst_dendro_.reset();
+    emst_.dendrogram.reset();
     emst_epoch_ = forest_.epoch();
     TraceArtifact(out, /*built=*/true, "forest-emst");
     return true;
   }
 
-  bool AnswerEmstFamily(const EngineRequest& req, bool allow_build,
-                        EngineResponse* out) {
-    if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
-      // The eps path builds private k-means partition trees over an
-      // immutable point set; the shard forest already maintains its own
-      // incremental decomposition, so the knob applies to static datasets.
-      out->error = "eps EMST is supported on static datasets only";
-      return true;
-    }
-    bool need_dendro = req.type == QueryType::kSingleLinkage;
-    if (need_dendro && (req.k < 1 || req.k > forest_.live_count())) {
-      out->error = "k must be in [1, n]";
-      return true;
-    }
+  /// The forest EMST plus, when `need_dendro`, its single-linkage
+  /// dendrogram into *view. False iff missing and !allow_build.
+  bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
+            EmstView* view) {
     if (!EnsureEmst(allow_build, out)) return false;
-    if (need_dendro) {
-      if (!emst_dendro_) {
-        if (!allow_build) return false;
-        emst_dendro_ = BuildDendrogramArtifact(forest_.live_count(),
-                                               *emst_mst_);
-        TraceArtifact(out, /*built=*/true, "sl-dendro");
-      } else {
-        TraceArtifact(out, /*built=*/false, "sl-dendro");
-      }
+    if (need_dendro &&
+        !EnsureDerived(emst_.dendrogram, "sl-dendro", allow_build, out, [&] {
+          return BuildDendrogramArtifact(forest_.live_count(), *emst_.mst);
+        })) {
+      return false;
     }
-    out->mst = emst_mst_;
-    out->mst_weight = emst_weight_;
-    out->point_ids = ids_dense_;
-    if (need_dendro) {
-      out->dendrogram = emst_dendro_;
-      out->labels = KClusters(*emst_dendro_, req.k);
-      SummarizeLabels(out->labels, out);
-    }
-    out->ok = true;
+    *view = emst_;
     return true;
   }
 
@@ -626,38 +529,49 @@ class DynamicArtifacts {
   /// count, not the ever-growing gid space. Dense row indices stay valid
   /// across inserts — new gids always sort after every existing one — and
   /// deletes invalidate the rows wholesale.
-  bool EnsureKnn(size_t k, bool allow_build, EngineResponse* out) {
+  void EnsureKnn(size_t k, EngineResponse* out) {
     if (knn_valid_ && knn_k_ >= k) {
       TraceArtifact(out, /*built=*/false, "knn@" + std::to_string(knn_k_));
-      return true;
+      return;
     }
-    if (!allow_build) return false;
     size_t n = forest_.live_count();
     size_t K = std::min(std::max(k, knn_k_), n);
-    for (size_t s = 0; s < forest_.num_shards(); ++s) {
-      forest_.shard(s).tree();  // build outside the parallel loop
-    }
     std::vector<uint32_t> gids = forest_.LiveGids();
     knn_sq_.assign(n * K, 0.0);
-    std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
-        NumWorkers());
-    ParallelFor(0, gids.size(), [&](size_t idx) {
-      auto& buf = scratch[Scheduler::Get().MyId()];
-      if (buf.size() < K) buf.resize(K);
-      internal::KnnHeap heap(K, buf.data());
-      const Point<D>& q = forest_.PointOf(gids[idx]);
-      for (size_t s = 0; s < forest_.num_shards(); ++s) {
-        internal::KnnQueryInto(forest_.shard(s).tree(), q, heap);
-      }
-      PARHC_DCHECK(heap.size() == K);
-      std::sort(buf.data(), buf.data() + K);
-      double* row = knn_sq_.data() + idx * K;
-      for (size_t t = 0; t < K; ++t) row[t] = buf[t].first;
-    });
+    auto point = [&](size_t i) -> const Point<D>& {
+      return forest_.PointOf(gids[i]);
+    };
+    KnnRowsInto(gids.size(), point, K, K, knn_sq_.data());
     knn_k_ = K;
     knn_valid_ = true;
     TraceArtifact(out, /*built=*/true, "knn@" + std::to_string(K));
-    return true;
+  }
+
+  /// Multi-shard kNN merge shared by EnsureKnn and KnnForQueries: row i of
+  /// `rows` (stride `stride`) gets the sorted squared distances from
+  /// `point(i)` to its `cap` nearest live points, by querying every
+  /// shard's tree into one bounded heap. `point(i)` is looked up once per
+  /// row, outside the per-shard loop.
+  template <typename PointAt>
+  void KnnRowsInto(size_t count, const PointAt& point, size_t cap,
+                   size_t stride, double* rows) {
+    for (size_t s = 0; s < forest_.num_shards(); ++s) {
+      forest_.shard(s).tree();  // build outside the parallel loop
+    }
+    std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
+        NumWorkers());
+    ParallelFor(0, count, [&](size_t i) {
+      auto& buf = scratch[Scheduler::Get().MyId()];
+      if (buf.size() < cap) buf.resize(cap);
+      internal::KnnHeap heap(cap, buf.data());
+      const Point<D>& q = point(i);
+      for (size_t s = 0; s < forest_.num_shards(); ++s) {
+        internal::KnnQueryInto(forest_.shard(s).tree(), q, heap);
+      }
+      std::sort(buf.data(), buf.data() + heap.size());
+      double* row = rows + i * stride;
+      for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
+    });
   }
 
   /// Incremental row maintenance for one insert batch, run *before* the
@@ -717,18 +631,14 @@ class DynamicArtifacts {
 
   /// Dense core distances for min_pts, derived from the kNN row columns.
   std::shared_ptr<const std::vector<double>> CoreDist(int min_pts,
-                                                      bool allow_build,
                                                       EngineResponse* out) {
     const std::string key = "cd@" + std::to_string(min_pts);
-    auto it = core_.find(min_pts);
-    if (it != core_.end()) {
+    auto it = clusterings_.core.find(min_pts);
+    if (it != clusterings_.core.end()) {
       TraceArtifact(out, /*built=*/false, key);
       return it->second;
     }
-    if (!allow_build) return nullptr;
-    if (!EnsureKnn(static_cast<size_t>(min_pts), allow_build, out)) {
-      return nullptr;
-    }
+    EnsureKnn(static_cast<size_t>(min_pts), out);
     EnsureDense();
     size_t n = forest_.live_count();
     size_t stride = knn_k_;
@@ -736,135 +646,37 @@ class DynamicArtifacts {
     ParallelFor(0, n, [&](size_t i) {
       (*cd)[i] = std::sqrt(knn_sq_[i * stride + (min_pts - 1)]);
     });
-    core_.emplace(min_pts, cd);
+    clusterings_.core.emplace(min_pts, cd);
     TraceArtifact(out, /*built=*/true, key);
     return cd;
   }
 
-  /// The per-minPts clustering entry: the exact MR-MST over the shard
-  /// forest (per-shard MR-MSTs with global core distances + cross BCCP*
-  /// candidates), plus dendrogram / reachability plot on demand.
-  HdbscanEntry* Hdbscan(int min_pts, bool need_dendro, bool need_plot,
-                        bool allow_build, EngineResponse* out) {
-    const std::string suffix = "@" + std::to_string(min_pts);
-    auto it = hdbscan_.find(min_pts);
-    if (it == hdbscan_.end()) {
-      if (!allow_build) return nullptr;
-      auto cd = CoreDist(min_pts, allow_build, out);
-      if (!cd) return nullptr;
-      size_t n = forest_.live_count();
-      std::vector<WeightedEdge> candidates;
-      // Per-shard MR-MSTs, annotating every shard tree with the global
-      // core distances (the annotations then serve the cross BCCP* pass).
-      for (size_t i = 0; i < forest_.num_shards(); ++i) {
-        Shard<D>& s = forest_.shard(i);
-        const std::vector<uint32_t>& lg = s.live_gids();
-        std::vector<double> cd_local(lg.size());
-        for (size_t l = 0; l < lg.size(); ++l) {
-          cd_local[l] = (*cd)[DenseOf(lg[l])];
-        }
-        std::vector<WeightedEdge> edges =
-            HdbscanMstOnTree(s.tree(), cd_local);
-        for (WeightedEdge& e : edges) {
-          e.u = lg[e.u];
-          e.v = lg[e.v];
-        }
+  /// The exact MR-MST of the forest under dense global core distances,
+  /// with dense endpoints: per-shard MR-MSTs — annotating every shard tree
+  /// with the global core distances, which the cross BCCP* pass then
+  /// reads — plus cross BCCP* candidates, Kruskal'd. EnsureDense must be
+  /// current.
+  std::vector<WeightedEdge> ForestMrMst(const std::vector<double>& core) {
+    std::vector<WeightedEdge> candidates;
+    for (size_t i = 0; i < forest_.num_shards(); ++i) {
+      Shard<D>& s = forest_.shard(i);
+      const std::vector<uint32_t>& lg = s.live_gids();
+      std::vector<double> cd_local(lg.size());
+      for (size_t l = 0; l < lg.size(); ++l) {
+        cd_local[l] = core[DenseOf(lg[l])];
+      }
+      for (const WeightedEdge& e : HdbscanMstOnTree(s.tree(), cd_local)) {
+        candidates.push_back({lg[e.u], lg[e.v], e.w});
+      }
+    }
+    for (size_t i = 0; i < forest_.num_shards(); ++i) {
+      for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
+        std::vector<WeightedEdge> edges = CrossCandidates(
+            forest_.shard(i), forest_.shard(j), /*mutual_reach=*/true);
         candidates.insert(candidates.end(), edges.begin(), edges.end());
       }
-      for (size_t i = 0; i < forest_.num_shards(); ++i) {
-        for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
-          std::vector<WeightedEdge> edges = CrossHdbscanCandidates(
-              forest_.shard(i), forest_.shard(j));
-          candidates.insert(candidates.end(), edges.begin(), edges.end());
-        }
-      }
-      ToDense(candidates);
-      std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-      PARHC_CHECK_MSG(mst.size() + 1 == n,
-                      "shard-forest MR-MST candidates did not span");
-      auto entry = std::make_unique<HdbscanEntry>();
-      entry->core_dist = cd;
-      entry->mst_weight = TotalEdgeWeight(mst);
-      entry->mst =
-          std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-      TraceArtifact(out, /*built=*/true, "mst" + suffix);
-      it = hdbscan_.emplace(min_pts, std::move(entry)).first;
-      EvictLru(min_pts);
-    } else {
-      TraceArtifact(out, /*built=*/false, "mst" + suffix);
     }
-    HdbscanEntry& e = *it->second;
-    if (need_dendro || need_plot) {
-      if (!e.dendrogram) {
-        if (!allow_build) return nullptr;
-        e.dendrogram = BuildDendrogramArtifact(forest_.live_count(), *e.mst);
-        TraceArtifact(out, /*built=*/true, "dendro" + suffix);
-      } else {
-        TraceArtifact(out, /*built=*/false, "dendro" + suffix);
-      }
-    }
-    if (need_plot) {
-      if (!e.plot) {
-        if (!allow_build) return nullptr;
-        e.plot = std::make_shared<const ReachabilityPlot>(
-            ComputeReachability(*e.dendrogram));
-        TraceArtifact(out, /*built=*/true, "reach" + suffix);
-      } else {
-        TraceArtifact(out, /*built=*/false, "reach" + suffix);
-      }
-    }
-    Touch(e);
-    return &e;
-  }
-
-  void EvictLru(int keep_min_pts) {
-    EvictLruClusterings(hdbscan_, core_, keep_min_pts);
-  }
-
-  bool AnswerHdbscanFamily(const EngineRequest& req, bool allow_build,
-                           EngineResponse* out) {
-    if (req.min_pts < 1 ||
-        static_cast<size_t>(req.min_pts) > forest_.live_count()) {
-      out->error = "min_pts must be in [1, n]";
-      return true;
-    }
-    if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
-      out->error = "min_cluster_size must be >= 2";
-      return true;
-    }
-    bool need_plot = req.type == QueryType::kReachability;
-    HdbscanEntry* e =
-        Hdbscan(req.min_pts, /*need_dendro=*/true, need_plot, allow_build,
-                out);
-    if (!e) return false;
-    out->core_dist = e->core_dist;
-    out->point_ids = ids_dense_;
-    switch (req.type) {
-      case QueryType::kHdbscan:
-        out->mst = e->mst;
-        out->mst_weight = e->mst_weight;
-        out->dendrogram = e->dendrogram;
-        break;
-      case QueryType::kDbscanStarAt:
-        out->labels = DbscanStarLabels(*e->dendrogram, *e->core_dist, req.eps);
-        SummarizeLabels(out->labels, out);
-        break;
-      case QueryType::kReachability:
-        out->plot = e->plot;
-        break;
-      case QueryType::kStableClusters: {
-        StabilityClusters sc =
-            ExtractStableClusters(*e->dendrogram, req.min_cluster_size);
-        out->labels = std::move(sc.label);
-        out->stability = std::move(sc.stability);
-        SummarizeLabels(out->labels, out);
-        break;
-      }
-      default:
-        break;
-    }
-    out->ok = true;
-    return true;
+    return DenseKruskal(std::move(candidates));
   }
 
   ShardForest<D> forest_;
@@ -878,9 +690,7 @@ class DynamicArtifacts {
   std::map<std::pair<uint64_t, uint64_t>, std::vector<WeightedEdge>> cross_;
 
   // Global tier: EMST.
-  std::shared_ptr<const std::vector<WeightedEdge>> emst_mst_;
-  double emst_weight_ = 0;
-  std::shared_ptr<const Dendrogram> emst_dendro_;
+  EmstView emst_;
   uint64_t emst_epoch_ = kNoEpoch;
 
   // Global tier: merged kNN rows (squared distances, row i = i-th live gid
@@ -889,9 +699,7 @@ class DynamicArtifacts {
   size_t knn_k_ = 0;
   bool knn_valid_ = false;
 
-  std::map<int, std::shared_ptr<const std::vector<double>>> core_;
-  std::map<int, std::unique_ptr<HdbscanEntry>> hdbscan_;
-  std::atomic<uint64_t> clock_{0};
+  ClusteringCache clusterings_;
 };
 
 }  // namespace parhc

@@ -9,11 +9,13 @@
 //   EMST(union)  ⊆  ∪ partition EMSTs  ∪  cross-partition BCCP candidates,
 //
 // where the cross candidates are the BCCP edges of an s=2 well-separated
-// decomposition between each pair of partition trees. Kruskal over that
-// candidate set reproduces the exact EMST for *any* partition, so the
-// k-means partitioning is purely a performance choice: it groups nearby
-// points so the per-partition MemoGFK runs see compact trees and the cross
-// passes see mostly far-apart (cheaply separable) node pairs.
+// decomposition between each pair of partition trees (CrossWspdEdges in
+// spatial/cross_traverse.h, the cross step the shard forest and the
+// router share). Kruskal over that candidate set reproduces the exact EMST
+// for *any* partition, so the k-means partitioning is purely a performance
+// choice: it groups nearby points so the per-partition MemoGFK runs see
+// compact trees and the cross passes see mostly far-apart (cheaply
+// separable) node pairs.
 //
 // The `eps` knob (Jayaram et al. 2023-style pruning, arXiv:2304.01434): a
 // well-separated cross pair whose box bounds already agree to within
@@ -137,51 +139,6 @@ std::vector<uint32_t> KmeansAssign(const std::vector<Point<D>>& pts, int k,
   return assign;
 }
 
-/// Cross-partition candidate edges between two partition trees, in global
-/// id space: one edge per s=2 well-separated cross pair — the pair's exact
-/// BCCP, or (eps path) a representative pair when the pair's box bounds
-/// are already (1+eps)-tight. Appends to `out`.
-template <int D>
-void CrossPartitionCandidates(const KdTree<D>& ta, const KdTree<D>& tb,
-                              const std::vector<uint32_t>& ga,
-                              const std::vector<uint32_t>& gb, double eps,
-                              HighDimEmstInfo* info,
-                              std::vector<WeightedEdge>& out) {
-  auto ida = [&](uint32_t i) { return ga[i]; };
-  auto idb = [&](uint32_t j) { return gb[j]; };
-  std::vector<std::vector<WeightedEdge>> local(NumWorkers());
-  std::atomic<size_t> exact{0}, pruned{0};
-  const double tight = (1.0 + eps) * (1.0 + eps);
-  CrossDualTraverse(
-      ta, tb, [](uint32_t, uint32_t) { return false; },
-      [&](uint32_t a, uint32_t b) {
-        return WellSeparated(ta.NodeBox(a), tb.NodeBox(b), 2.0);
-      },
-      [&](uint32_t a, uint32_t b, bool separated) {
-        auto& sink = local[Scheduler::Get().MyId()];
-        if (separated && eps > 0) {
-          double lb2 = ta.NodeBox(a).MinSquaredDistance(tb.NodeBox(b));
-          double ub2 = ta.NodeBox(a).MaxSquaredDistance(tb.NodeBox(b));
-          if (ub2 <= tight * lb2) {
-            uint32_t i = ta.NodeBegin(a), j = tb.NodeBegin(b);
-            sink.push_back({ida(ta.id(i)), idb(tb.id(j)),
-                            DistanceDispatch(ta.point(i), tb.point(j))});
-            pruned.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-        }
-        ClosestPair cp = CrossBccp(ta, tb, a, b, ida, idb);
-        sink.push_back({cp.u, cp.v, cp.dist});
-        exact.fetch_add(1, std::memory_order_relaxed);
-      });
-  std::vector<WeightedEdge> edges = Flatten(local);
-  out.insert(out.end(), edges.begin(), edges.end());
-  if (info != nullptr) {
-    info->cross_pairs += exact.load();
-    info->cross_pruned += pruned.load();
-  }
-}
-
 }  // namespace internal
 
 /// EMST (exact for eps = 0, (1+eps)-weight otherwise) over the k-means
@@ -242,13 +199,41 @@ std::vector<WeightedEdge> HighDimEmst(const std::vector<Point<D>>& pts,
       candidates.push_back({gids[p][e.u], gids[p][e.v], e.w});
     }
   }
-  // Cross-partition candidates for every partition pair.
+  // Cross-partition candidates for every partition pair: each
+  // well-separated cross pair's exact BCCP, or (eps path) a representative
+  // pair when the pair's box bounds are already (1+eps)-tight.
+  std::atomic<size_t> pruned{0};
+  size_t cross = 0;
+  const double tight = (1.0 + opts.eps) * (1.0 + opts.eps);
   for (size_t a = 0; a < np; ++a) {
     for (size_t b = a + 1; b < np; ++b) {
-      internal::CrossPartitionCandidates(*trees[a], *trees[b], gids[a],
-                                         gids[b], opts.eps, info, candidates);
+      const KdTree<D>& ta = *trees[a];
+      const KdTree<D>& tb = *trees[b];
+      const std::vector<uint32_t>& ga = gids[a];
+      const std::vector<uint32_t>& gb = gids[b];
+      auto ida = [&](uint32_t i) { return ga[i]; };
+      auto idb = [&](uint32_t j) { return gb[j]; };
+      std::vector<WeightedEdge> edges = CrossWspdEdges(
+          ta, tb, [&](uint32_t x, uint32_t y, bool separated) {
+            if (separated && opts.eps > 0) {
+              double lb2 = ta.NodeBox(x).MinSquaredDistance(tb.NodeBox(y));
+              double ub2 = ta.NodeBox(x).MaxSquaredDistance(tb.NodeBox(y));
+              if (ub2 <= tight * lb2) {
+                uint32_t i = ta.NodeBegin(x), j = tb.NodeBegin(y);
+                pruned.fetch_add(1, std::memory_order_relaxed);
+                double d = DistanceDispatch(ta.point(i), tb.point(j));
+                return WeightedEdge{ida(ta.id(i)), idb(tb.id(j)), d};
+              }
+            }
+            ClosestPair cp = CrossBccp(ta, tb, x, y, ida, idb);
+            return WeightedEdge{cp.u, cp.v, cp.dist};
+          });
+      cross += edges.size();
+      candidates.insert(candidates.end(), edges.begin(), edges.end());
     }
   }
+  info->cross_pruned = pruned.load();
+  info->cross_pairs = cross - info->cross_pruned;
   info->candidate_edges = candidates.size();
   return KruskalMst(n, std::move(candidates));
 }

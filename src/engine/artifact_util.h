@@ -1,7 +1,11 @@
-// Helpers shared by the engine's two artifact backends: the immutable
-// per-dataset cache (engine/artifacts.h) and the batch-dynamic shard-forest
-// cache (dynamic/artifacts.h). Factored out so both paths report the same
-// build/reuse traces and construct dendrograms identically.
+// The query surface shared by the engine's three artifact backends: the
+// immutable per-dataset cache (engine/artifacts.h), the batch-dynamic
+// shard-forest cache (dynamic/artifacts.h) and the router's merged cache
+// over sharded workers (cluster/router.cc). AnswerQuery owns the one
+// validation order and error strings, label extraction and the response
+// fill; a backend supplies only its EMST and its per-minPts MR-MST. The
+// helpers below keep the build/reuse traces and the dendrograms identical
+// across backends.
 #pragma once
 
 #include <algorithm>
@@ -14,9 +18,11 @@
 #include <vector>
 
 #include "dendrogram/builder.h"
+#include "dendrogram/cluster_extraction.h"
 #include "dendrogram/reachability.h"
 #include "engine/request.h"
 #include "graph/edge.h"
+#include "hdbscan/stability.h"
 
 namespace parhc {
 
@@ -63,15 +69,26 @@ inline std::shared_ptr<const Dendrogram> BuildDendrogramArtifact(
       BuildDendrogramSequential(n, edges, /*source=*/0));
 }
 
-/// One cached per-minPts clustering: the MR-MST (always) plus the
-/// dendrogram and reachability plot (built on demand). Shared by both
-/// artifact backends so the LRU machinery exists once.
-struct ClusteringEntry {
+/// The EMST and its single-linkage dendrogram (built on demand).
+struct EmstView {
+  std::shared_ptr<const std::vector<WeightedEdge>> mst;
+  double mst_weight = 0;
+  std::shared_ptr<const Dendrogram> dendrogram;
+};
+
+/// One per-minPts clustering: core distances and MR-MST (always), the
+/// dendrogram and reachability plot (on demand).
+struct ClusteringView {
   std::shared_ptr<const std::vector<double>> core_dist;
   std::shared_ptr<const std::vector<WeightedEdge>> mst;
   double mst_weight = 0;
   std::shared_ptr<const Dendrogram> dendrogram;
   std::shared_ptr<const ReachabilityPlot> plot;
+};
+
+/// A cached clustering plus its LRU stamp; slicing to ClusteringView
+/// copies the artifact pointers.
+struct ClusteringEntry : ClusteringView {
   std::atomic<uint64_t> last_used{0};
 };
 
@@ -84,18 +101,20 @@ inline void TouchClusteringEntry(ClusteringEntry& e,
 }
 
 /// Drops least-recently-used clustering entries beyond the cache cap,
-/// never the one just touched. Snapshots held by responses stay valid.
-/// The matching derived core distances go too — they re-derive from the
-/// kNN rows in O(n) — so per-minPts memory really is bounded.
-inline void EvictLruClusterings(
-    std::map<int, std::unique_ptr<ClusteringEntry>>& entries,
+/// never the one just touched nor one `busy(min_pts)` says a builder is
+/// still extending. Snapshots held by responses stay valid. The matching
+/// derived core distances go too — they re-derive from the kNN rows in
+/// O(n) — so per-minPts memory really is bounded.
+template <typename Busy>
+void EvictLruClusterings(
+    std::map<int, std::shared_ptr<ClusteringEntry>>& entries,
     std::map<int, std::shared_ptr<const std::vector<double>>>& core,
-    int keep_min_pts) {
+    int keep_min_pts, const Busy& busy) {
   while (entries.size() > kMaxCachedClusterings) {
     auto victim = entries.end();
     uint64_t oldest = std::numeric_limits<uint64_t>::max();
     for (auto it = entries.begin(); it != entries.end(); ++it) {
-      if (it->first == keep_min_pts) continue;
+      if (it->first == keep_min_pts || busy(it->first)) continue;
       uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
       if (used < oldest) {
         oldest = used;
@@ -106,6 +125,153 @@ inline void EvictLruClusterings(
     core.erase(victim->first);
     entries.erase(victim);
   }
+}
+
+/// Build-or-reuse step for one artifact derived from an MST (`sl-dendro`,
+/// `dendro@m`, `reach@m`) in a backend that serializes its builds: fills
+/// an empty `slot` from `build()` and traces `key` as built, else as
+/// reused. Returns false iff the slot is empty and !allow_build.
+template <typename T, typename Build>
+bool EnsureDerived(std::shared_ptr<const T>& slot, const std::string& key,
+                   bool allow_build, EngineResponse* out,
+                   const Build& build) {
+  bool built = !slot;
+  if (built) {
+    if (!allow_build) return false;
+    slot = build();
+  }
+  TraceArtifact(out, built, key);
+  return true;
+}
+
+/// Per-minPts clusterings of a backend that serializes its builds (the
+/// shard forest, the router's merged cache): `core` holds cd@m, `entries`
+/// the mst@m entries, LRU-capped at kMaxCachedClusterings, each with its
+/// dendro@m and reach@m built on demand.
+struct ClusteringCache {
+  std::map<int, std::shared_ptr<const std::vector<double>>> core;
+  std::map<int, std::shared_ptr<ClusteringEntry>> entries;
+  std::atomic<uint64_t> clock{0};
+
+  /// AnswerQuery's clustering step over `n` points. A missing entry comes
+  /// from `build()` — core distances plus MR-MST, or null after the
+  /// backend set out->error. Returns false iff something was missing and
+  /// !allow_build.
+  template <typename Build>
+  bool View(int min_pts, bool need_plot, size_t n, bool allow_build,
+            EngineResponse* out, const Build& build, ClusteringView* view) {
+    const std::string suffix = "@" + std::to_string(min_pts);
+    auto it = entries.find(min_pts);
+    if (it == entries.end()) {
+      if (!allow_build) return false;
+      std::shared_ptr<ClusteringEntry> built = build();
+      if (!built) return true;
+      TraceArtifact(out, /*built=*/true, "mst" + suffix);
+      it = entries.emplace(min_pts, std::move(built)).first;
+      EvictLruClusterings(entries, core, min_pts, [](int) { return false; });
+    } else {
+      TraceArtifact(out, /*built=*/false, "mst" + suffix);
+    }
+    ClusteringEntry& e = *it->second;
+    if (!EnsureDerived(e.dendrogram, "dendro" + suffix, allow_build, out,
+                       [&] { return BuildDendrogramArtifact(n, *e.mst); })) {
+      return false;
+    }
+    if (need_plot &&
+        !EnsureDerived(e.plot, "reach" + suffix, allow_build, out, [&] {
+          return std::make_shared<const ReachabilityPlot>(
+              ComputeReachability(*e.dendrogram));
+        })) {
+      return false;
+    }
+    TouchClusteringEntry(e, clock);
+    *view = e;
+    return true;
+  }
+};
+
+/// Answers `req` over a dataset of `n` live points: validates, asks the
+/// backend for the artifacts, then extracts labels and fills `out`.
+///   emst_fn(need_dendro, EmstView*) -> bool
+///   clustering_fn(min_pts, need_plot, ClusteringView*) -> bool
+/// fill the view (the clustering always with its dendrogram) and return
+/// false iff an artifact was missing and the backend may not build it —
+/// then this returns false too, and the caller retries on its build path.
+/// A backend that cannot answer sets out->error and returns true.
+/// Invalid requests return true with out->ok == false.
+template <typename EmstFn, typename ClusteringFn>
+bool AnswerQuery(const EngineRequest& req, size_t n, EngineResponse* out,
+                 const EmstFn& emst_fn, const ClusteringFn& clustering_fn) {
+  if (n == 0) {
+    out->error = "dataset is empty";
+    return true;
+  }
+  switch (req.type) {
+    case QueryType::kEmst:
+    case QueryType::kSingleLinkage: {
+      if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
+        out->error = "eps EMST is supported on static datasets only";
+        return true;
+      }
+      bool need_dendro = req.type == QueryType::kSingleLinkage;
+      if (need_dendro && (req.k < 1 || req.k > n)) {
+        out->error = "k must be in [1, n]";
+        return true;
+      }
+      EmstView v;
+      if (!emst_fn(need_dendro, &v)) return false;
+      if (!out->error.empty()) return true;
+      out->mst = v.mst;
+      out->mst_weight = v.mst_weight;
+      if (need_dendro) {
+        out->dendrogram = v.dendrogram;
+        out->labels = KClusters(*v.dendrogram, req.k);
+        SummarizeLabels(out->labels, out);
+      }
+      out->ok = true;
+      return true;
+    }
+    case QueryType::kHdbscan:
+    case QueryType::kDbscanStarAt:
+    case QueryType::kReachability:
+    case QueryType::kStableClusters: {
+      if (req.min_pts < 1 || static_cast<size_t>(req.min_pts) > n) {
+        out->error = "min_pts must be in [1, n]";
+        return true;
+      }
+      if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
+        out->error = "min_cluster_size must be >= 2";
+        return true;
+      }
+      ClusteringView v;
+      if (!clustering_fn(req.min_pts, req.type == QueryType::kReachability,
+                         &v)) {
+        return false;
+      }
+      if (!out->error.empty()) return true;
+      out->core_dist = v.core_dist;
+      if (req.type == QueryType::kHdbscan) {
+        out->mst = v.mst;
+        out->mst_weight = v.mst_weight;
+        out->dendrogram = v.dendrogram;
+      } else if (req.type == QueryType::kDbscanStarAt) {
+        out->labels = DbscanStarLabels(*v.dendrogram, *v.core_dist, req.eps);
+        SummarizeLabels(out->labels, out);
+      } else if (req.type == QueryType::kReachability) {
+        out->plot = v.plot;
+      } else {
+        StabilityClusters sc =
+            ExtractStableClusters(*v.dendrogram, req.min_cluster_size);
+        out->labels = std::move(sc.label);
+        out->stability = std::move(sc.stability);
+        SummarizeLabels(out->labels, out);
+      }
+      out->ok = true;
+      return true;
+    }
+  }
+  out->error = "unknown query type";
+  return true;
 }
 
 }  // namespace parhc

@@ -45,18 +45,25 @@
 //    that mention it, and the global tier — never surviving shard
 //    artifacts.
 //
+// Queries go through AnswerQuery (engine/artifact_util.h), the validation
+// and response fill shared with the dynamic and router backends; this file
+// supplies the EMST and per-minPts MR-MST nodes, plus the eps EMST path
+// that only static datasets serve.
+//
 // Thread safety (this backend only; the dynamic backend relies on the
 // engine's exclusive lock): every DAG node is a monitor-guarded state
-// machine absent -> building -> ready. A builder claims the node's
-// building flag under `state_mu_`, runs the (possibly long, parallel)
-// build OUTSIDE the lock, installs the result, and broadcasts
-// `state_cv_`. Duplicate requests for the same node wait on the condition
-// variable and come back with the builder's shared_ptr — exactly one
-// build ever runs per node. Independent nodes (different datasets'
-// artifacts trivially, and e.g. dendro@3 vs mst@5 of one dataset) build
-// concurrently. The one cross-node constraint: MST-family builds
-// (HdbscanMstOnTree / EmstMemoGfkOnTree) rewrite the kd-tree's annotation
-// arrays (core-distance + component fields), so they serialize on
+// machine absent -> building -> ready, run by Node(). A builder claims
+// the node's key in `building_` under `state_mu_`, runs the (possibly
+// long, parallel) build OUTSIDE the lock, installs the result, and
+// broadcasts `state_cv_`. Duplicate requests for the same node wait on
+// the condition variable and come back with the builder's shared_ptr —
+// exactly one build ever runs per node. Independent nodes (different
+// datasets' artifacts trivially, and e.g. dendro@3 vs mst@5 of one
+// dataset) build concurrently. The kNN matrix claims one key for every
+// width, so a narrower matrix never replaces a wider one. The one
+// cross-node constraint: MST-family builds (HdbscanMstOnTree /
+// EmstMemoGfkOnTree) rewrite the kd-tree's annotation arrays
+// (core-distance + component fields), so they serialize on
 // `tree_annot_mu_`; kNN search and snapshot writes read only the tree's
 // geometry and proceed concurrently. Answer(allow_build = false) is the
 // read-only path: it never blocks on a build (a node mid-build reads as
@@ -64,12 +71,10 @@
 // sections and the atomic LRU clock.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -78,14 +83,11 @@
 #include <utility>
 #include <vector>
 
-#include "dendrogram/cluster_extraction.h"
-#include "dendrogram/reachability.h"
 #include "emst/emst_highdim.h"
 #include "emst/emst_memogfk.h"
 #include "engine/artifact_util.h"
 #include "engine/request.h"
 #include "hdbscan/hdbscan_mst.h"
-#include "hdbscan/stability.h"
 #include "obs/trace.h"
 #include "spatial/knn.h"
 #include "store/artifact_io.h"
@@ -122,18 +124,26 @@ class DatasetArtifacts {
   /// build path; invalid requests return true with out->ok == false.
   bool Answer(const EngineRequest& req, bool allow_build,
               EngineResponse* out) {
-    switch (req.type) {
-      case QueryType::kEmst:
-      case QueryType::kSingleLinkage:
-        return AnswerEmstFamily(req, allow_build, out);
-      case QueryType::kHdbscan:
-      case QueryType::kDbscanStarAt:
-      case QueryType::kReachability:
-      case QueryType::kStableClusters:
-        return AnswerHdbscanFamily(req, allow_build, out);
+    if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
+      std::shared_ptr<const HighDimEntry> e =
+          HighDimEmstAt(req.emst_eps, allow_build, out);
+      if (!e) return false;
+      out->mst = e->mst;
+      out->mst_weight = e->mst_weight;
+      out->approx_eps = req.emst_eps;
+      out->partitions = e->info.partitions;
+      out->cross_pruned = e->info.cross_pruned;
+      out->ok = true;
+      return true;
     }
-    out->error = "unknown query type";
-    return true;
+    return AnswerQuery(
+        req, pts_.size(), out,
+        [&](bool need_dendro, EmstView* v) {
+          return Emst(need_dendro, allow_build, out, v);
+        },
+        [&](int min_pts, bool need_plot, ClusteringView* v) {
+          return Clustering(min_pts, need_plot, allow_build, out, v);
+        });
   }
 
   /// Writes every cached artifact plus the manifest into `dir` (created
@@ -145,7 +155,7 @@ class DatasetArtifacts {
   void SaveTo(const std::string& dir) const {
     std::shared_ptr<KdTree<D>> tree;
     std::shared_ptr<const KnnMatrix> knn;
-    EmstEntry emst;
+    EmstView emst;
     std::vector<std::pair<int, ClusteringView>> clusterings;
     {
       std::lock_guard<std::mutex> lk(state_mu_);
@@ -154,11 +164,7 @@ class DatasetArtifacts {
       emst = emst_;
       clusterings.reserve(hdbscan_.size());
       for (const auto& [min_pts, e] : hdbscan_) {
-        ClusteringView v;
-        v.mst = e->mst;
-        v.mst_weight = e->mst_weight;
-        v.dendrogram = e->dendrogram;
-        clusterings.emplace_back(min_pts, std::move(v));
+        clusterings.emplace_back(min_pts, *e);
       }
     }
     EnsureDatasetDir(dir);
@@ -244,7 +250,7 @@ class DatasetArtifacts {
       if (edges.size() + 1 != m.n) {
         throw SnapshotSchemaError(dir + ": EMST edge count mismatch");
       }
-      emst_.mst_weight = TotalWeight(edges);
+      emst_.mst_weight = TotalEdgeWeight(edges);
       emst_.mst = std::make_shared<const std::vector<WeightedEdge>>(
           std::move(edges));
       if (!m.sl_dendro_file.empty()) {
@@ -263,7 +269,7 @@ class DatasetArtifacts {
                                   std::to_string(c.min_pts) +
                                   " lacks kNN prefix coverage");
       }
-      auto entry = std::make_shared<HdbscanEntry>();
+      auto entry = std::make_shared<ClusteringEntry>();
       entry->core_dist =
           CoreDist(static_cast<int>(c.min_pts), /*allow_build=*/true,
                    &scratch);
@@ -273,32 +279,24 @@ class DatasetArtifacts {
         throw SnapshotSchemaError(dir + ": MR-MST edge count mismatch at " +
                                   std::to_string(c.min_pts));
       }
-      entry->mst_weight = TotalWeight(edges);
+      entry->mst_weight = TotalEdgeWeight(edges);
       entry->mst = std::make_shared<const std::vector<WeightedEdge>>(
           std::move(edges));
       if (c.has_dendrogram) {
         entry->dendrogram = LoadDendrogramSnapshot(
             dir + "/" + c.dendro_file, c.min_pts, m.n);
       }
-      TouchClusteringEntry(*entry, clock_);
+      Touch(*entry);
       hdbscan_.emplace(static_cast<int>(c.min_pts), std::move(entry));
     }
   }
 
  private:
-  using HdbscanEntry = ClusteringEntry;
-
   /// Versioned kNN prefix matrix: installed whole, never mutated, only
   /// replaced by a wider one. Readers keep their snapshot's stride.
   struct KnnMatrix {
     MappedArray<double> data;  ///< n x k, row-major by point id
     size_t k = 0;
-  };
-
-  struct EmstEntry {
-    std::shared_ptr<const std::vector<WeightedEdge>> mst;
-    double mst_weight = 0;
-    std::shared_ptr<const Dendrogram> dendrogram;  ///< single-linkage
   };
 
   /// One high-dimensional (partitioned) EMST build, keyed by its eps
@@ -310,29 +308,34 @@ class DatasetArtifacts {
     HighDimEmstInfo info;
   };
 
-  /// Consistent copy of one clustering's shared_ptrs, taken under
-  /// `state_mu_` (entry fields may be extended concurrently).
-  struct ClusteringView {
-    std::shared_ptr<const std::vector<double>> core_dist;
-    std::shared_ptr<const std::vector<WeightedEdge>> mst;
-    double mst_weight = 0;
-    std::shared_ptr<const Dendrogram> dendrogram;
-    std::shared_ptr<const ReachabilityPlot> plot;
+  /// A claim on node `key` in `building_`. Taking it waits (on `lk`, which
+  /// holds `state_mu_`) until no other thread holds the key. Scope exit
+  /// releases it and wakes the waiters, re-locking `lk` if the build
+  /// unlocked it, so a throwing build never wedges its waiters.
+  class Claim {
+   public:
+    Claim(DatasetArtifacts* self, std::unique_lock<std::mutex>& lk,
+          std::string key)
+        : self_(self), lk_(lk), key_(std::move(key)) {
+      self_->state_cv_.wait(
+          lk_, [&] { return self_->building_.count(key_) == 0; });
+      self_->building_.insert(key_);
+    }
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+    ~Claim() {
+      if (!lk_.owns_lock()) lk_.lock();
+      self_->building_.erase(key_);
+      self_->state_cv_.notify_all();
+    }
+
+   private:
+    DatasetArtifacts* self_;
+    std::unique_lock<std::mutex>& lk_;
+    std::string key_;
   };
 
-  /// Clears a node's building flag and broadcasts at scope exit, so a
-  /// throwing build never wedges its waiters.
-  template <typename F>
-  struct BuildScope {
-    F fn;
-    ~BuildScope() { fn(); }
-  };
-  template <typename F>
-  BuildScope<F> OnBuildExit(F fn) {
-    return BuildScope<F>{std::move(fn)};
-  }
-
-  void Touch(HdbscanEntry& e) { TouchClusteringEntry(e, clock_); }
+  void Touch(ClusteringEntry& e) { TouchClusteringEntry(e, clock_); }
 
   static void Trace(EngineResponse* out, bool built, const std::string& key) {
     TraceArtifact(out, built, key);
@@ -346,500 +349,222 @@ class DatasetArtifacts {
     return obs::Tracer::Get().Intern("build:" + key);
   }
 
-  static double TotalWeight(const std::vector<WeightedEdge>& edges) {
-    return TotalEdgeWeight(edges);
+  /// The monitor step of one DAG node. `get()` reads the node under
+  /// `state_mu_` (null = absent); a hit is traced as reused. On a miss
+  /// with `allow_build`, the caller waits while another thread builds
+  /// `key` and re-reads; still absent, it becomes the node's one builder:
+  /// `build()` runs outside the lock and publishes its result under
+  /// `state_mu_`, and `key` is traced as built. Null iff absent and
+  /// !allow_build.
+  template <typename Get, typename Build>
+  auto Node(const std::string& key, bool allow_build, EngineResponse* out,
+            const Get& get, const Build& build) -> decltype(get()) {
+    std::unique_lock<std::mutex> lk(state_mu_);
+    decltype(get()) v = get();
+    if (!v && allow_build) {
+      Claim claim(this, lk, key);
+      v = get();  // built while we waited
+      if (!v) {
+        lk.unlock();
+        obs::Span span(BuildSpanName(key), "engine");
+        v = build();
+        Trace(out, /*built=*/true, key);
+        return v;
+      }
+    }
+    lk.unlock();
+    if (v) Trace(out, /*built=*/false, key);
+    return v;
   }
 
-  std::shared_ptr<const Dendrogram> BuildDendro(
-      const std::vector<WeightedEdge>& edges) const {
-    return BuildDendrogramArtifact(pts_.size(), edges);
+  /// Installs a freshly built value into `slot` under `state_mu_`.
+  template <typename T>
+  T Publish(T& slot, T v) {
+    std::lock_guard<std::mutex> lk(state_mu_);
+    slot = v;
+    return v;
   }
 
   std::shared_ptr<KdTree<D>> Tree(bool allow_build, EngineResponse* out) {
-    {
-      std::unique_lock<std::mutex> lk(state_mu_);
-      for (;;) {
-        if (tree_) {
-          Trace(out, /*built=*/false, "tree");
-          return tree_;
-        }
-        if (!allow_build) return nullptr;
-        if (!tree_building_) break;
-        state_cv_.wait(lk);
-      }
-      tree_building_ = true;
-    }
-    auto done = OnBuildExit([this] {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      tree_building_ = false;
-      state_cv_.notify_all();
+    return Node("tree", allow_build, out, [&] { return tree_; }, [&] {
+      return Publish(tree_, std::make_shared<KdTree<D>>(pts_, /*leaf_size=*/1));
     });
-    obs::Span span("build:tree", "engine");
-    auto t = std::make_shared<KdTree<D>>(pts_, /*leaf_size=*/1);
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      tree_ = t;
-    }
-    Trace(out, /*built=*/true, "tree");
-    return t;
   }
 
   /// kNN prefix matrix covering at least k columns (grows to the max
   /// seen). Owned when built in RAM, a zero-copy mapped view after a
   /// snapshot load; growing K past a loaded width rebuilds an owned copy.
+  /// Node's protocol with two kNN rules: a hit is traced with the width
+  /// served, and every width claims the one key "knn", so a build waits
+  /// while any width is being built and a narrower matrix never replaces
+  /// a wider one.
   std::shared_ptr<const KnnMatrix> Prefixes(size_t k, bool allow_build,
                                             EngineResponse* out) {
-    {
-      std::unique_lock<std::mutex> lk(state_mu_);
-      for (;;) {
-        if (knn_ && knn_->k >= k) {
-          Trace(out, /*built=*/false, "knn@" + std::to_string(knn_->k));
-          return knn_;
-        }
-        if (!allow_build) return nullptr;
-        if (knn_building_k_ == 0) break;
-        // A build is running; wait it out. If it is too narrow for us we
-        // re-enter the loop and become the next (wider) builder.
-        state_cv_.wait(lk);
+    std::unique_lock<std::mutex> lk(state_mu_);
+    auto wide_enough = [&] { return knn_ && knn_->k >= k; };
+    if (!wide_enough() && allow_build) {
+      Claim claim(this, lk, "knn");
+      if (!wide_enough()) {
+        lk.unlock();
+        const std::string key = "knn@" + std::to_string(k);
+        obs::Span span(BuildSpanName(key), "engine");
+        std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
+        auto mat = std::make_shared<KnnMatrix>();
+        mat->data = AllKnnDistances(*tree, k);
+        mat->k = k;
+        Publish<std::shared_ptr<const KnnMatrix>>(knn_, mat);
+        Trace(out, /*built=*/true, key);
+        return mat;
       }
-      knn_building_k_ = k;
     }
-    auto done = OnBuildExit([this] {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      knn_building_k_ = 0;
-      state_cv_.notify_all();
-    });
-    obs::Span span(BuildSpanName("knn@" + std::to_string(k)), "engine");
-    std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
-    auto mat = std::make_shared<KnnMatrix>();
-    mat->data = AllKnnDistances(*tree, k);
-    mat->k = k;
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      knn_ = mat;
-    }
-    Trace(out, /*built=*/true, "knn@" + std::to_string(k));
-    return mat;
+    if (!wide_enough()) return nullptr;
+    Trace(out, /*built=*/false, "knn@" + std::to_string(knn_->k));
+    return knn_;
   }
 
   /// Core distances for min_pts, derived from the prefix matrix column.
   std::shared_ptr<const std::vector<double>> CoreDist(int min_pts,
                                                       bool allow_build,
                                                       EngineResponse* out) {
-    const std::string key = "cd@" + std::to_string(min_pts);
-    {
-      std::unique_lock<std::mutex> lk(state_mu_);
-      for (;;) {
-        auto it = core_.find(min_pts);
-        if (it != core_.end()) {
-          Trace(out, /*built=*/false, key);
-          return it->second;
-        }
-        if (!allow_build) return nullptr;
-        if (core_building_.count(min_pts) == 0) break;
-        state_cv_.wait(lk);
-      }
-      core_building_.insert(min_pts);
-    }
-    auto done = OnBuildExit([this, min_pts] {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      core_building_.erase(min_pts);
-      state_cv_.notify_all();
-    });
-    obs::Span span(BuildSpanName(key), "engine");
-    std::shared_ptr<const KnnMatrix> prefix =
-        Prefixes(static_cast<size_t>(min_pts), allow_build, out);
-    size_t n = pts_.size();
-    size_t stride = prefix->k;
-    auto cd = std::make_shared<std::vector<double>>(n);
-    ParallelFor(0, n, [&](size_t i) {
-      (*cd)[i] = prefix->data[i * stride + (min_pts - 1)];
-    });
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      core_.emplace(min_pts, cd);
-    }
-    Trace(out, /*built=*/true, key);
-    return cd;
+    return Node(
+        "cd@" + std::to_string(min_pts), allow_build, out,
+        [&] { return Find(core_, min_pts); },
+        [&]() -> std::shared_ptr<const std::vector<double>> {
+          std::shared_ptr<const KnnMatrix> prefix =
+              Prefixes(static_cast<size_t>(min_pts), allow_build, out);
+          size_t n = pts_.size();
+          size_t stride = prefix->k;
+          auto cd = std::make_shared<std::vector<double>>(n);
+          ParallelFor(0, n, [&](size_t i) {
+            (*cd)[i] = prefix->data[i * stride + (min_pts - 1)];
+          });
+          std::lock_guard<std::mutex> lk(state_mu_);
+          core_.emplace(min_pts, cd);
+          return cd;
+        });
   }
 
-  /// The per-minPts clustering, with the MST (always) and the dendrogram /
-  /// reachability plot (on demand) filled into *view. Returns false iff
-  /// something was missing and !allow_build.
-  bool Hdbscan(int min_pts, bool need_dendro, bool need_plot,
-               bool allow_build, EngineResponse* out, ClusteringView* view) {
+  /// The per-minPts clustering, with the MST, dendrogram and (on demand)
+  /// reachability plot copied into *view. Returns false iff something was
+  /// missing and !allow_build.
+  bool Clustering(int min_pts, bool need_plot, bool allow_build,
+                  EngineResponse* out, ClusteringView* view) {
     const std::string suffix = "@" + std::to_string(min_pts);
-    std::shared_ptr<HdbscanEntry> e;
-    {
-      std::unique_lock<std::mutex> lk(state_mu_);
-      for (;;) {
-        auto it = hdbscan_.find(min_pts);
-        if (it != hdbscan_.end()) {
-          e = it->second;
-          break;
-        }
-        if (!allow_build) return false;
-        if (mst_building_.count(min_pts) == 0) break;
-        state_cv_.wait(lk);
-      }
-      if (!e) mst_building_.insert(min_pts);
-    }
-    if (e) {
-      Trace(out, /*built=*/false, "mst" + suffix);
-    } else {
-      auto done = OnBuildExit([this, min_pts] {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        mst_building_.erase(min_pts);
-        state_cv_.notify_all();
-      });
-      obs::Span span(BuildSpanName("mst" + suffix), "engine");
-      auto cd = CoreDist(min_pts, allow_build, out);
-      std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
-      e = std::make_shared<HdbscanEntry>();
-      e->core_dist = cd;
-      {
-        // MST builds rewrite the shared tree's annotation arrays.
-        std::lock_guard<std::mutex> annot(tree_annot_mu_);
-        e->mst = std::make_shared<const std::vector<WeightedEdge>>(
-            HdbscanMstOnTree(*tree, *cd));
-      }
-      e->mst_weight = TotalWeight(*e->mst);
-      Trace(out, /*built=*/true, "mst" + suffix);
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        hdbscan_.emplace(min_pts, e);
-        EvictLruLocked(min_pts);
-      }
-    }
-    if (need_dendro || need_plot) {
-      std::shared_ptr<const Dendrogram> dendro;
-      bool build_it = false;
-      {
-        std::unique_lock<std::mutex> lk(state_mu_);
-        for (;;) {
-          if (e->dendrogram) {
-            dendro = e->dendrogram;
-            break;
+    auto get = [&] { return Find(hdbscan_, min_pts); };
+    std::shared_ptr<ClusteringEntry> e = Node(
+        "mst" + suffix, allow_build, out, get, [&] {
+          auto entry = std::make_shared<ClusteringEntry>();
+          entry->core_dist = CoreDist(min_pts, allow_build, out);
+          std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
+          {
+            // MST builds rewrite the shared tree's annotation arrays.
+            std::lock_guard<std::mutex> annot(tree_annot_mu_);
+            entry->mst = std::make_shared<const std::vector<WeightedEdge>>(
+                HdbscanMstOnTree(*tree, *entry->core_dist));
           }
-          if (!allow_build) return false;
-          if (dendro_building_.count(min_pts) == 0) {
-            build_it = true;
-            break;
-          }
-          state_cv_.wait(lk);
-        }
-        if (build_it) dendro_building_.insert(min_pts);
-      }
-      if (!build_it) {
-        Trace(out, /*built=*/false, "dendro" + suffix);
-      } else {
-        auto done = OnBuildExit([this, min_pts] {
+          entry->mst_weight = TotalEdgeWeight(*entry->mst);
           std::lock_guard<std::mutex> lk(state_mu_);
-          dendro_building_.erase(min_pts);
-          state_cv_.notify_all();
+          hdbscan_.emplace(min_pts, entry);
+          // Never evict an entry a dendrogram or plot builder is extending.
+          EvictLruClusterings(hdbscan_, core_, min_pts, [&](int m) {
+            const std::string at = "@" + std::to_string(m);
+            return building_.count("dendro" + at) != 0 ||
+                   building_.count("reach" + at) != 0;
+          });
+          return entry;
         });
-        obs::Span span(BuildSpanName("dendro" + suffix), "engine");
-        dendro = BuildDendro(*e->mst);
-        {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          e->dendrogram = dendro;
-        }
-        Trace(out, /*built=*/true, "dendro" + suffix);
-      }
+    if (!e) return false;
+    auto get_dendro = [&] { return e->dendrogram; };
+    auto build_dendro = [&] {
+      return Publish(e->dendrogram, BuildDendro(*e->mst));
+    };
+    std::shared_ptr<const Dendrogram> dendro =
+        Node("dendro" + suffix, allow_build, out, get_dendro, build_dendro);
+    if (!dendro) return false;
+    auto get_plot = [&] { return e->plot; };
+    auto build_plot = [&] {
+      auto plot = std::make_shared<const ReachabilityPlot>(
+          ComputeReachability(*dendro));
+      return Publish(e->plot, plot);
+    };
+    if (need_plot &&
+        !Node("reach" + suffix, allow_build, out, get_plot, build_plot)) {
+      return false;
     }
-    if (need_plot) {
-      std::shared_ptr<const ReachabilityPlot> plot;
-      bool build_it = false;
-      {
-        std::unique_lock<std::mutex> lk(state_mu_);
-        for (;;) {
-          if (e->plot) {
-            plot = e->plot;
-            break;
-          }
-          if (!allow_build) return false;
-          if (plot_building_.count(min_pts) == 0) {
-            build_it = true;
-            break;
-          }
-          state_cv_.wait(lk);
-        }
-        if (build_it) plot_building_.insert(min_pts);
-      }
-      if (!build_it) {
-        Trace(out, /*built=*/false, "reach" + suffix);
-      } else {
-        auto done = OnBuildExit([this, min_pts] {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          plot_building_.erase(min_pts);
-          state_cv_.notify_all();
-        });
-        obs::Span span(BuildSpanName("reach" + suffix), "engine");
-        std::shared_ptr<const Dendrogram> dendro;
-        {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          dendro = e->dendrogram;
-        }
-        plot = std::make_shared<const ReachabilityPlot>(
-            ComputeReachability(*dendro));
-        {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          e->plot = plot;
-        }
-        Trace(out, /*built=*/true, "reach" + suffix);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      view->core_dist = e->core_dist;
-      view->mst = e->mst;
-      view->mst_weight = e->mst_weight;
-      view->dendrogram = e->dendrogram;
-      view->plot = e->plot;
-      Touch(*e);
-    }
+    std::lock_guard<std::mutex> lk(state_mu_);
+    *view = *e;
+    Touch(*e);
     return true;
-  }
-
-  /// Drops least-recently-used clustering entries beyond the cache cap
-  /// (never the one just touched, never one currently being extended by a
-  /// dendrogram/plot builder). Call with `state_mu_` held. Snapshots held
-  /// by responses — and by in-flight builders — stay valid through their
-  /// shared_ptrs.
-  void EvictLruLocked(int keep_min_pts) {
-    while (hdbscan_.size() > kMaxCachedClusterings) {
-      auto victim = hdbscan_.end();
-      uint64_t oldest = std::numeric_limits<uint64_t>::max();
-      for (auto it = hdbscan_.begin(); it != hdbscan_.end(); ++it) {
-        int m = it->first;
-        if (m == keep_min_pts || dendro_building_.count(m) != 0 ||
-            plot_building_.count(m) != 0) {
-          continue;
-        }
-        uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
-        if (used < oldest) {
-          oldest = used;
-          victim = it;
-        }
-      }
-      if (victim == hdbscan_.end()) return;
-      core_.erase(victim->first);
-      hdbscan_.erase(victim);
-    }
   }
 
   /// EMST + optional single-linkage dendrogram into *view. Returns false
   /// iff something was missing and !allow_build.
   bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
-            EmstEntry* view) {
-    std::shared_ptr<const std::vector<WeightedEdge>> mst;
-    {
-      std::unique_lock<std::mutex> lk(state_mu_);
-      for (;;) {
-        if (emst_.mst) {
-          mst = emst_.mst;
-          break;
-        }
-        if (!allow_build) return false;
-        if (!emst_building_) break;
-        state_cv_.wait(lk);
-      }
-      if (!mst) emst_building_ = true;
-    }
-    if (mst) {
-      Trace(out, /*built=*/false, "emst");
-    } else {
-      auto done = OnBuildExit([this] {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        emst_building_ = false;
-        state_cv_.notify_all();
-      });
-      obs::Span span("build:emst", "engine");
+            EmstView* view) {
+    auto get = [&] { return emst_.mst; };
+    auto mst = Node("emst", allow_build, out, get, [&] {
       std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
+      std::shared_ptr<const std::vector<WeightedEdge>> m;
       {
         // EMST builds rewrite the shared tree's annotation arrays.
         std::lock_guard<std::mutex> annot(tree_annot_mu_);
-        mst = std::make_shared<const std::vector<WeightedEdge>>(
+        m = std::make_shared<const std::vector<WeightedEdge>>(
             EmstMemoGfkOnTree(*tree));
       }
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        emst_.mst = mst;
-        emst_.mst_weight = TotalWeight(*mst);
-      }
-      Trace(out, /*built=*/true, "emst");
-    }
-    if (need_dendro) {
-      std::shared_ptr<const Dendrogram> dendro;
-      bool build_it = false;
-      {
-        std::unique_lock<std::mutex> lk(state_mu_);
-        for (;;) {
-          if (emst_.dendrogram) {
-            dendro = emst_.dendrogram;
-            break;
-          }
-          if (!allow_build) return false;
-          if (!sl_building_) {
-            build_it = true;
-            break;
-          }
-          state_cv_.wait(lk);
-        }
-        if (build_it) sl_building_ = true;
-      }
-      if (!build_it) {
-        Trace(out, /*built=*/false, "sl-dendro");
-      } else {
-        auto done = OnBuildExit([this] {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          sl_building_ = false;
-          state_cv_.notify_all();
-        });
-        obs::Span span("build:sl-dendro", "engine");
-        dendro = BuildDendro(*mst);
-        {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          emst_.dendrogram = dendro;
-        }
-        Trace(out, /*built=*/true, "sl-dendro");
-      }
-    }
-    {
       std::lock_guard<std::mutex> lk(state_mu_);
-      *view = emst_;
+      emst_.mst = m;
+      emst_.mst_weight = TotalEdgeWeight(*m);
+      return m;
+    });
+    if (!mst) return false;
+    auto get_dendro = [&] { return emst_.dendrogram; };
+    auto build_dendro = [&] {
+      return Publish(emst_.dendrogram, BuildDendro(*mst));
+    };
+    if (need_dendro &&
+        !Node("sl-dendro", allow_build, out, get_dendro, build_dendro)) {
+      return false;
     }
+    std::lock_guard<std::mutex> lk(state_mu_);
+    *view = emst_;
     return true;
-  }
-
-  /// Artifact key of the high-dim EMST at `eps` (e.g. "emst-hd@0.1").
-  static std::string HighDimKey(double eps) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "emst-hd@%g", eps);
-    return buf;
   }
 
   /// Partitioned high-dimensional EMST at `eps` (exact decomposition when
-  /// eps == 0; see emst/emst_highdim.h) into *view. Same monitor protocol
-  /// as the other DAG nodes: absent -> building -> ready, waiters block on
-  /// `state_cv_`. Returns false iff missing and !allow_build.
-  bool HighDimEmstAt(double eps, bool allow_build, EngineResponse* out,
-                     std::shared_ptr<const HighDimEntry>* view) {
-    const std::string key = HighDimKey(eps);
-    {
-      std::unique_lock<std::mutex> lk(state_mu_);
-      for (;;) {
-        auto it = highdim_.find(eps);
-        if (it != highdim_.end()) {
-          *view = it->second;
-          lk.unlock();
-          Trace(out, /*built=*/false, key);
-          return true;
-        }
-        if (!allow_build) return false;
-        if (highdim_building_.count(eps) == 0) break;
-        state_cv_.wait(lk);
-      }
-      highdim_building_.insert(eps);
-    }
-    auto done = OnBuildExit([this, eps] {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      highdim_building_.erase(eps);
-      state_cv_.notify_all();
-    });
-    obs::Span span(BuildSpanName(key), "engine");
-    auto entry = std::make_shared<HighDimEntry>();
-    HighDimEmstOptions opts;
-    opts.eps = eps;
-    // Builds private partition trees (never the shared annotated tree_),
-    // so no tree_annot_mu_ — eps builds run concurrently with everything.
-    entry->mst = std::make_shared<const std::vector<WeightedEdge>>(
-        HighDimEmst(pts_, opts, &entry->info));
-    entry->mst_weight = TotalWeight(*entry->mst);
-    {
+  /// eps == 0; see emst/emst_highdim.h). Null iff missing and
+  /// !allow_build.
+  std::shared_ptr<const HighDimEntry> HighDimEmstAt(double eps,
+                                                    bool allow_build,
+                                                    EngineResponse* out) {
+    char key[48];
+    std::snprintf(key, sizeof(key), "emst-hd@%g", eps);
+    auto build = [&]() -> std::shared_ptr<const HighDimEntry> {
+      auto entry = std::make_shared<HighDimEntry>();
+      HighDimEmstOptions opts;
+      opts.eps = eps;
+      // Builds private partition trees (never the shared annotated tree_),
+      // so no tree_annot_mu_ — eps builds run concurrently with everything.
+      entry->mst = std::make_shared<const std::vector<WeightedEdge>>(
+          HighDimEmst(pts_, opts, &entry->info));
+      entry->mst_weight = TotalEdgeWeight(*entry->mst);
       std::lock_guard<std::mutex> lk(state_mu_);
       highdim_[eps] = entry;
-    }
-    Trace(out, /*built=*/true, key);
-    *view = std::move(entry);
-    return true;
+      return entry;
+    };
+    return Node(key, allow_build, out, [&] { return Find(highdim_, eps); },
+                build);
   }
 
-  bool AnswerEmstFamily(const EngineRequest& req, bool allow_build,
-                        EngineResponse* out) {
-    if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
-      std::shared_ptr<const HighDimEntry> e;
-      if (!HighDimEmstAt(req.emst_eps, allow_build, out, &e)) return false;
-      out->mst = e->mst;
-      out->mst_weight = e->mst_weight;
-      out->approx_eps = req.emst_eps;
-      out->partitions = e->info.partitions;
-      out->cross_pruned = e->info.cross_pruned;
-      out->ok = true;
-      return true;
-    }
-    bool need_dendro = req.type == QueryType::kSingleLinkage;
-    if (need_dendro && (req.k < 1 || req.k > pts_.size())) {
-      out->error = "k must be in [1, n]";
-      return true;
-    }
-    EmstEntry e;
-    if (!Emst(need_dendro, allow_build, out, &e)) return false;
-    out->mst = e.mst;
-    out->mst_weight = e.mst_weight;
-    if (need_dendro) {
-      out->dendrogram = e.dendrogram;
-      out->labels = KClusters(*e.dendrogram, req.k);
-      SummarizeLabels(out->labels, out);
-    }
-    out->ok = true;
-    return true;
+  /// The mapped value at `key`, or null.
+  template <typename Map, typename K>
+  static typename Map::mapped_type Find(const Map& m, const K& key) {
+    auto it = m.find(key);
+    return it == m.end() ? nullptr : it->second;
   }
 
-  bool AnswerHdbscanFamily(const EngineRequest& req, bool allow_build,
-                           EngineResponse* out) {
-    if (req.min_pts < 1 ||
-        static_cast<size_t>(req.min_pts) > pts_.size()) {
-      out->error = "min_pts must be in [1, n]";
-      return true;
-    }
-    if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
-      out->error = "min_cluster_size must be >= 2";
-      return true;
-    }
-    bool need_plot = req.type == QueryType::kReachability;
-    bool need_dendro = true;
-    ClusteringView e;
-    if (!Hdbscan(req.min_pts, need_dendro, need_plot, allow_build, out, &e)) {
-      return false;
-    }
-    out->core_dist = e.core_dist;
-    switch (req.type) {
-      case QueryType::kHdbscan:
-        out->mst = e.mst;
-        out->mst_weight = e.mst_weight;
-        out->dendrogram = e.dendrogram;
-        break;
-      case QueryType::kDbscanStarAt:
-        out->labels = DbscanStarLabels(*e.dendrogram, *e.core_dist, req.eps);
-        SummarizeLabels(out->labels, out);
-        break;
-      case QueryType::kReachability:
-        out->plot = e.plot;
-        break;
-      case QueryType::kStableClusters: {
-        StabilityClusters sc =
-            ExtractStableClusters(*e.dendrogram, req.min_cluster_size);
-        out->labels = std::move(sc.label);
-        out->stability = std::move(sc.stability);
-        SummarizeLabels(out->labels, out);
-        break;
-      }
-      default:
-        break;
-    }
-    out->ok = true;
-    return true;
+  std::shared_ptr<const Dendrogram> BuildDendro(
+      const std::vector<WeightedEdge>& edges) const {
+    return BuildDendrogramArtifact(pts_.size(), edges);
   }
 
   std::vector<Point<D>> pts_;
@@ -855,19 +580,10 @@ class DatasetArtifacts {
   std::shared_ptr<KdTree<D>> tree_;
   std::shared_ptr<const KnnMatrix> knn_;
   std::map<int, std::shared_ptr<const std::vector<double>>> core_;
-  std::map<int, std::shared_ptr<HdbscanEntry>> hdbscan_;
-  EmstEntry emst_;
+  std::map<int, std::shared_ptr<ClusteringEntry>> hdbscan_;
+  EmstView emst_;
   std::map<double, std::shared_ptr<const HighDimEntry>> highdim_;
-
-  bool tree_building_ = false;
-  size_t knn_building_k_ = 0;  ///< 0 = idle, else the width being built
-  std::set<int> core_building_;
-  std::set<int> mst_building_;
-  std::set<int> dendro_building_;
-  std::set<int> plot_building_;
-  bool emst_building_ = false;
-  bool sl_building_ = false;
-  std::set<double> highdim_building_;
+  std::set<std::string> building_;  ///< keys of the nodes being built
 
   std::atomic<uint64_t> clock_{0};
 };

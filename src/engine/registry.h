@@ -205,6 +205,7 @@ class DynamicDatasetEntry final : public DatasetEntryBase {
       }
       for (int d = 0; d < D; ++d) pts[i][d] = rows[i][d];
     }
+    if (!AllFinite(pts.data(), pts.size())) return kNonFiniteCoordinates;
     uint32_t first = artifacts_.InsertBatch(std::move(pts));
     if (first_gid) *first_gid = first;
     return "";
@@ -301,15 +302,13 @@ class DatasetRegistry {
       }
     }
     switch (dim) {
-#define PARHC_DIM_CASE(D)              \
-  case D:                              \
-    Add(name, RowsToPoints<D>(rows)); \
-    break;
+#define PARHC_DIM_CASE(D) \
+  case D:                 \
+    return TryAdd(name, RowsToPoints<D>(rows));
       PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
 #undef PARHC_DIM_CASE
-      default: break;  // unreachable: SupportedDim checked above
+      default: return "";  // unreachable: SupportedDim checked above
     }
-    return "";
   }
 
   /// TryAddRows that treats failure as a programmer error.
@@ -327,8 +326,9 @@ class DatasetRegistry {
   /// Loads the binary point format, dispatching on the header's dimension
   /// and bulk-reading straight into typed points (no parsing, no per-row
   /// allocation). Returns an empty string on success or an error message
-  /// for unsupported dimensions / empty files; propagates the readers'
-  /// std::runtime_error for unreadable or malformed files.
+  /// for unsupported dimensions, empty files or non-finite coordinates;
+  /// propagates the readers' std::runtime_error for unreadable or
+  /// malformed files.
   std::string TryAddBin(const std::string& name, const std::string& path) {
     PointsBinHeader h = ReadPointsBinHeader(path);
     if (!SupportedDim(static_cast<int>(h.dim))) {
@@ -336,15 +336,13 @@ class DatasetRegistry {
     }
     if (h.count == 0) return "dataset must be non-empty";
     switch (h.dim) {
-#define PARHC_DIM_CASE(D)                  \
-  case D:                                  \
-    Add(name, ReadPointsBinAs<D>(path)); \
-    break;
+#define PARHC_DIM_CASE(D) \
+  case D:                 \
+    return TryAdd(name, ReadPointsBinAs<D>(path));
       PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
 #undef PARHC_DIM_CASE
-      default: break;  // unreachable: SupportedDim checked above
+      default: return "";  // unreachable: SupportedDim checked above
     }
-    return "";
   }
 
   /// TryAddBin that treats recoverable failure as a programmer error.
@@ -445,6 +443,15 @@ class DatasetRegistry {
   }
 
  private:
+  /// Add for untrusted points: rejects non-finite coordinates. Returns ""
+  /// on success, else an error message.
+  template <int D>
+  std::string TryAdd(const std::string& name, std::vector<Point<D>> pts) {
+    if (!AllFinite(pts.data(), pts.size())) return kNonFiniteCoordinates;
+    Add(name, std::move(pts));
+    return "";
+  }
+
   template <int D>
   static std::shared_ptr<DatasetEntryBase> LoadEntry(const std::string& dir,
                                                      bool dynamic) {

@@ -26,6 +26,28 @@ struct Point {
   bool operator!=(const Point& o) const { return !(*this == o); }
 };
 
+/// Error text of every path that rejects a NaN or infinite coordinate.
+inline constexpr char kNonFiniteCoordinates[] = "coordinates must be finite";
+
+/// True iff the `n` coordinates at `v` are all finite. Every path that
+/// creates points checks this and rejects the input with
+/// kNonFiniteCoordinates otherwise: a NaN or infinite coordinate has no
+/// distance order, so no MST over it exists.
+inline bool AllFinite(const double* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(v[i])) return false;
+  }
+  return true;
+}
+
+template <int D>
+bool AllFinite(const Point<D>* pts, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!AllFinite(pts[i].x.data(), D)) return false;
+  }
+  return true;
+}
+
 /// Squared Euclidean distance between `a` and `b`.
 template <int D>
 double SquaredDistance(const Point<D>& a, const Point<D>& b) {

@@ -1,8 +1,10 @@
 #include "parallel/scheduler.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <mutex>
 
 namespace parhc {
 
@@ -11,10 +13,15 @@ thread_local int Scheduler::tl_slot = -1;
 
 namespace {
 
+/// Owns the process-wide scheduler (joined at exit, replaced by Reset).
 std::unique_ptr<Scheduler>& GlobalSchedulerSlot() {
   static std::unique_ptr<Scheduler> slot;
   return slot;
 }
+
+/// The installed scheduler, read with one acquire load on every Get().
+std::atomic<Scheduler*> g_current{nullptr};
+std::once_flag g_default_once;
 
 int DefaultWorkerCount() {
   if (const char* env = std::getenv("PARHC_WORKERS")) {
@@ -28,9 +35,16 @@ int DefaultWorkerCount() {
 }  // namespace
 
 Scheduler& Scheduler::Get() {
-  auto& slot = GlobalSchedulerSlot();
-  if (!slot) slot.reset(new Scheduler(DefaultWorkerCount()));
-  return *slot;
+  Scheduler* s = g_current.load(std::memory_order_acquire);
+  if (s != nullptr) return *s;
+  // First use: threads that race here create the default scheduler once
+  // (a Reset before any Get has already installed one).
+  std::call_once(g_default_once, [] {
+    if (g_current.load(std::memory_order_acquire) != nullptr) return;
+    GlobalSchedulerSlot().reset(new Scheduler(DefaultWorkerCount()));
+    g_current.store(GlobalSchedulerSlot().get(), std::memory_order_release);
+  });
+  return *g_current.load(std::memory_order_acquire);
 }
 
 void Scheduler::Reset(int num_workers) {
@@ -46,6 +60,7 @@ void Scheduler::Reset(int num_workers) {
   }
   slot.reset();  // join old workers before spawning new ones
   slot.reset(new Scheduler(num_workers));
+  g_current.store(slot.get(), std::memory_order_release);
 }
 
 Scheduler::Scheduler(int num_workers)

@@ -8,7 +8,9 @@
 //
 // Threading model (arena-based):
 //  * `Scheduler::Get()` lazily creates a singleton with a shared pool of
-//    P - 1 worker threads (P = total workers, `PARHC_WORKERS` env override).
+//    P - 1 worker threads (P = total workers, `PARHC_WORKERS` env override),
+//    exactly once however many threads make the first call; after that it
+//    is one atomic load.
 //  * Work always runs inside an *arena*: a group of `slots` logical workers
 //    with its own steal deques. Stealing never crosses an arena boundary,
 //    so `MyId()` / `NumWorkers()` are arena-relative and `ParallelFor`

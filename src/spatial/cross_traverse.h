@@ -1,6 +1,9 @@
 // Cross-tree dual traversals: the two-tree counterparts of the single-tree
-// engines in spatial/traverse.h, used by the batch-dynamic shard forest
-// (src/dynamic/) to compute cross-shard candidate edges.
+// engines in spatial/traverse.h, and CrossWspdEdges, the one cross step of
+// the distance-decomposition rule shared by the batch-dynamic shard forest
+// (src/dynamic/) and the router's slice merge (src/cluster/merge.h), both
+// through CrossBccpEdges, and the partitioned high-dimensional EMST
+// (src/emst/emst_highdim.h).
 //
 // The distance-decomposition result (Lettich, arXiv:2406.01739) states that
 // the EMST of a union of parts is contained in the union of the parts'
@@ -23,7 +26,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "graph/edge.h"
+#include "parallel/primitives.h"
 #include "spatial/bccp.h"
 #include "spatial/traverse.h"
 
@@ -81,6 +87,26 @@ void CrossDualTraverse(const KdTree<D>& ta, const KdTree<D>& tb,
                        const Prune& prune, const Sep& sep, const Base& base) {
   internal::CrossDualTraverseRec(ta, tb, ta.root(), tb.root(), prune, sep,
                                  base);
+}
+
+/// Cross candidate edges between two trees: one edge per s = 2
+/// well-separated cross pair (and per overlapping leaf pair), produced by
+/// `edge_fn(a, b, separated) -> WeightedEdge` — typically the pair's
+/// CrossBccp or CrossBccpStar edge. `edge_fn` runs concurrently.
+template <int D, typename EdgeFn>
+std::vector<WeightedEdge> CrossWspdEdges(const KdTree<D>& ta,
+                                         const KdTree<D>& tb,
+                                         const EdgeFn& edge_fn) {
+  std::vector<std::vector<WeightedEdge>> local(NumWorkers());
+  CrossDualTraverse(
+      ta, tb, [](uint32_t, uint32_t) { return false; },
+      [&](uint32_t a, uint32_t b) {
+        return WellSeparated(ta.NodeBox(a), tb.NodeBox(b), 2.0);
+      },
+      [&](uint32_t a, uint32_t b, bool separated) {
+        local[Scheduler::Get().MyId()].push_back(edge_fn(a, b, separated));
+      });
+  return Flatten(local);
 }
 
 /// Sequential pruned dual descent toward a minimum between two trees — the
@@ -195,6 +221,21 @@ ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
       });
   internal::CountBccp(distances);
   return best;
+}
+
+/// CrossWspdEdges with each cross pair's exact closest pair: its CrossBccp
+/// edge, or with `mutual_reach` its CrossBccpStar edge (both trees then
+/// carry core distances). `ida` / `idb` map tree point ids to the global
+/// ids the edges carry.
+template <int D, typename IdA, typename IdB>
+std::vector<WeightedEdge> CrossBccpEdges(const KdTree<D>& ta,
+                                         const KdTree<D>& tb, const IdA& ida,
+                                         const IdB& idb, bool mutual_reach) {
+  return CrossWspdEdges(ta, tb, [&](uint32_t a, uint32_t b, bool) {
+    ClosestPair cp = mutual_reach ? CrossBccpStar(ta, tb, a, b, ida, idb)
+                                  : CrossBccp(ta, tb, a, b, ida, idb);
+    return WeightedEdge{cp.u, cp.v, cp.dist};
+  });
 }
 
 }  // namespace parhc

@@ -39,6 +39,13 @@ inline void RequireSectionSize(const SnapshotFile& f, size_t got,
   }
 }
 
+template <int D>
+void RequireFinitePoints(const SnapshotFile& f, Span<const Point<D>> pts) {
+  if (!AllFinite(pts.data(), pts.size())) {
+    throw SnapshotFormatError(f.path() + ": " + kNonFiniteCoordinates);
+  }
+}
+
 }  // namespace store_internal
 
 // ---- Point sets -----------------------------------------------------------
@@ -60,6 +67,7 @@ std::vector<Point<D>> LoadPointsSnapshot(const std::string& path) {
   }
   Span<const Point<D>> data = f.section<Point<D>>(SectionId::kPointData);
   store_internal::RequireSectionSize(f, data.size(), f.count(), "point data");
+  store_internal::RequireFinitePoints(f, data);
   return std::vector<Point<D>>(data.begin(), data.end());
 }
 
@@ -110,6 +118,7 @@ std::unique_ptr<KdTree<D>> LoadKdTreeSnapshot(const std::string& path) {
   store_internal::RequireSectionSize(f, box.size(), nc, "node boxes");
   store_internal::RequireSectionSize(f, diameter.size(), nc,
                                      "node diameters");
+  store_internal::RequireFinitePoints(f, pts);
   // Structural validation: everything traversals index by must be in
   // bounds, and child links must point forward (the bottom-up sweeps'
   // reverse-scan invariant).

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <limits>
 #include <numeric>
 #include <thread>
 
 #include "data/generators.h"
+#include "data/io.h"
 #include "emst/emst.h"
 #include "engine/engine.h"
 #include "hdbscan/hdbscan.h"
@@ -244,6 +247,158 @@ TEST(EngineRegistry, ErrorsAndTypeErasedDispatch) {
   EXPECT_EQ(engine.registry().List().size(), size_t{0});
 }
 
+// The static and batch-dynamic backends answer through one AnswerQuery
+// (engine/artifact_util.h): over the same points, invalid requests must
+// fail with identical error strings and valid ones must agree in weights,
+// core distances and labels (dynamic gids follow insertion order, so the
+// dense point order matches the static one).
+TEST(EngineQuerySurface, StaticAndDynamicBackendsAnswerIdentically) {
+  auto pts = SeedSpreaderVarden<2>(600, 17, 3);
+  const size_t n = pts.size();
+  ClusteringEngine engine;
+  engine.registry().Add("s", pts);
+  ASSERT_EQ(engine.registry().TryAddDynamic("d", 2), "");
+  std::vector<std::vector<double>> rows;
+  for (const auto& p : pts) rows.push_back({p[0], p[1]});
+  ASSERT_EQ(engine.InsertBatch("d", rows), "");
+
+  auto request = [](QueryType type, int min_pts, size_t k, size_t mcs) {
+    EngineRequest r;
+    r.type = type;
+    r.min_pts = min_pts;
+    r.k = k;
+    r.min_cluster_size = mcs;
+    r.eps = 1.0;
+    return r;
+  };
+  auto run = [&](EngineRequest r, const std::string& name) {
+    r.dataset = name;
+    return engine.Run(r);
+  };
+  const int too_big = static_cast<int>(n) + 1;
+  const std::vector<EngineRequest> invalid = {
+      request(QueryType::kSingleLinkage, 8, 0, 5),
+      request(QueryType::kSingleLinkage, 8, n + 1, 5),
+      request(QueryType::kHdbscan, 0, 1, 5),
+      request(QueryType::kHdbscan, too_big, 1, 5),
+      request(QueryType::kDbscanStarAt, 0, 1, 5),
+      request(QueryType::kDbscanStarAt, too_big, 1, 5),
+      request(QueryType::kReachability, 0, 1, 5),
+      request(QueryType::kReachability, too_big, 1, 5),
+      request(QueryType::kStableClusters, 8, 1, 1),
+  };
+  for (size_t i = 0; i < invalid.size(); ++i) {
+    EngineResponse a = run(invalid[i], "s");
+    EngineResponse b = run(invalid[i], "d");
+    EXPECT_FALSE(a.ok) << "request " << i;
+    EXPECT_FALSE(b.ok) << "request " << i;
+    EXPECT_FALSE(a.error.empty()) << "request " << i;
+    EXPECT_EQ(a.error, b.error) << "request " << i;
+  }
+
+  const std::vector<EngineRequest> valid = {
+      request(QueryType::kEmst, 8, 1, 5),
+      request(QueryType::kSingleLinkage, 8, 4, 5),
+      request(QueryType::kHdbscan, 8, 1, 5),
+      request(QueryType::kDbscanStarAt, 8, 1, 5),
+      request(QueryType::kReachability, 8, 1, 5),
+      request(QueryType::kStableClusters, 8, 1, 10),
+  };
+  for (size_t i = 0; i < valid.size(); ++i) {
+    EngineResponse a = run(valid[i], "s");
+    EngineResponse b = run(valid[i], "d");
+    ASSERT_TRUE(a.ok) << "request " << i << ": " << a.error;
+    ASSERT_TRUE(b.ok) << "request " << i << ": " << b.error;
+    EXPECT_EQ(a.mst_weight, b.mst_weight) << "request " << i;
+    EXPECT_EQ(a.labels, b.labels) << "request " << i;
+    EXPECT_EQ(a.num_clusters, b.num_clusters) << "request " << i;
+    ASSERT_EQ(a.core_dist == nullptr, b.core_dist == nullptr);
+    if (a.core_dist) {
+      EXPECT_EQ(*a.core_dist, *b.core_dist);
+    }
+  }
+
+  // Dynamic-only refusals: the eps path, then a dataset emptied by deletes.
+  EngineRequest eps = request(QueryType::kEmst, 8, 1, 5);
+  eps.emst_eps = 0.5;
+  EXPECT_TRUE(run(eps, "s").ok);
+  EngineResponse r = run(eps, "d");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "eps EMST is supported on static datasets only");
+  std::vector<uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0u);
+  ASSERT_EQ(engine.DeleteBatch("d", all), "");
+  for (const EngineRequest& q : valid) {
+    r = run(q, "d");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "dataset is empty");
+  }
+}
+
+// Every path that creates points rejects NaN and infinite coordinates with
+// a typed error — CSV rows, binary point files, insert batches, static and
+// shard-forest snapshots — and the engine keeps serving other datasets.
+TEST(EngineRegistry, NonFiniteCoordinatesAreRejectedOnEveryIngress) {
+  namespace fs = std::filesystem;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const fs::path tmp = fs::path(::testing::TempDir()) / "parhc_nonfinite";
+  fs::remove_all(tmp);
+  fs::create_directories(tmp);
+
+  ClusteringEngine engine;
+  engine.registry().Add("ok", UniformFill<2>(300, 1));
+  auto still_serving = [&] {
+    EngineRequest q;
+    q.dataset = "ok";
+    q.type = QueryType::kHdbscan;
+    q.min_pts = 5;
+    EngineResponse r = engine.Run(q);
+    return r.ok && r.mst->size() == 299;
+  };
+  std::vector<std::vector<double>> rows = {{0, 0}, {1, 1}, {nan, 2}, {3, 3}};
+
+  EXPECT_EQ(engine.registry().TryAddRows("csv", rows), kNonFiniteCoordinates);
+  EXPECT_EQ(engine.registry().Find("csv"), nullptr);
+  EXPECT_TRUE(still_serving());
+
+  std::vector<Point<2>> bad_pts = {{{0, 0}}, {{1, inf}}, {{2, 2}}};
+  const std::string bin = (tmp / "bad.bin").string();
+  WritePointsBin(bin, bad_pts);
+  EXPECT_EQ(engine.registry().TryAddBin("bin", bin), kNonFiniteCoordinates);
+  EXPECT_EQ(engine.registry().Find("bin"), nullptr);
+  EXPECT_TRUE(still_serving());
+
+  ASSERT_EQ(engine.registry().TryAddDynamic("dyn", 2), "");
+  ASSERT_EQ(engine.InsertBatch("dyn", {{0, 0}, {1, 1}}), "");
+  EXPECT_EQ(engine.InsertBatch("dyn", rows), kNonFiniteCoordinates);
+  rows[2][0] = -inf;
+  EXPECT_EQ(engine.InsertBatch("dyn", rows), kNonFiniteCoordinates);
+  EngineRequest emst;
+  emst.dataset = "dyn";
+  emst.type = QueryType::kEmst;
+  EngineResponse r = engine.Run(emst);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.mst->size(), 1u);  // the rejected batches left no trace
+
+  // Snapshots written from unchecked in-process data.
+  ClusteringEngine writer;
+  writer.registry().Add("bad", bad_pts);
+  const std::string static_dir = (tmp / "static").string();
+  ASSERT_EQ(writer.SaveDataset("bad", static_dir), "");
+  std::string err = engine.LoadDataset("snap", static_dir);
+  EXPECT_NE(err.find(kNonFiniteCoordinates), std::string::npos) << err;
+  DynamicArtifacts<2> forest;
+  forest.InsertBatch(bad_pts);
+  const std::string dynamic_dir = (tmp / "dynamic").string();
+  forest.SaveTo(dynamic_dir);
+  err = engine.LoadDataset("snap", dynamic_dir);
+  EXPECT_NE(err.find(kNonFiniteCoordinates), std::string::npos) << err;
+  EXPECT_EQ(engine.registry().Find("snap"), nullptr);
+  EXPECT_TRUE(still_serving());
+  fs::remove_all(tmp);
+}
+
 // Concurrent readers answer from shared artifacts while a writer builds a
 // new parameterization; run under the sanitizer CI job this validates the
 // readers-writer discipline.
@@ -442,6 +597,32 @@ TEST(EngineConcurrency, MutationExcludesBuildsAndMatchesSerialReplay) {
 // racing a Remove must either answer from their snapshot or report
 // "unknown dataset"; nothing may crash or corrupt state. Run under the
 // ASan/UBSan CI job this validates the whole lifetime story.
+// Every kNN build waits while any width is being built, so when two
+// threads race cold builds at minPts 4 and 12 the 12-wide matrix is never
+// replaced by the 4-wide one.
+TEST(EngineConcurrency, ConcurrentKnnWidthsKeepTheWidest) {
+  for (int round = 0; round < 6; ++round) {
+    ClusteringEngine engine;
+    engine.registry().Add("d", SeedSpreaderVarden<2>(3000, 60 + round, 3));
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (int min_pts : {4, 12}) {
+      threads.emplace_back([&engine, &failures, min_pts] {
+        EngineRequest req;
+        req.dataset = "d";
+        req.type = QueryType::kHdbscan;
+        req.min_pts = min_pts;
+        for (int i = 0; i < 3; ++i) {
+          if (!engine.Run(req).ok) failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(engine.registry().Find("d")->knn_k(), 12u) << "round " << round;
+  }
+}
+
 TEST(EngineConcurrency, RemoveWhileQueriesInFlight) {
   auto pts = SeedSpreaderVarden<2>(1500, 37, 3);
   ClusteringEngine engine;

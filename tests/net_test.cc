@@ -619,6 +619,47 @@ TEST(NetServer, BinaryInsertAndLabelFrames) {
   EXPECT_EQ(client.ReadLine(), "err frame: unknown opcode 0x7f\n");
 }
 
+// A bulk-insert frame or a CSV load carrying a non-finite coordinate
+// answers a typed err; the dataset is unchanged and the connection and
+// every other dataset keep being served.
+TEST(NetServer, NonFiniteIngressAnswersErrAndKeepsServing) {
+  ServerFixture fx;
+  TestClient client(fx.server->port());
+  ASSERT_TRUE(client.connected());
+  client.Send("gen g 2 uniform 100 5\ndyn d 2\n");
+  EXPECT_EQ(client.ReadLine(), "ok gen g dim=2 n=100 kind=uniform\n");
+  EXPECT_EQ(client.ReadLine(), "ok dyn d dim=2\n");
+
+  auto insert_frame = [](const std::vector<double>& coords) {
+    std::string payload;
+    net::PutU16(&payload, 1);
+    payload += "d";
+    net::PutU16(&payload, 2);
+    net::PutU32(&payload, static_cast<uint32_t>(coords.size() / 2));
+    for (double v : coords) net::PutF64(&payload, v);
+    return net::EncodeFrame(net::kOpInsertPoints, payload);
+  };
+  client.Send(insert_frame({0, 0, 1, 1, 2, 2, 3, 3}));
+  EXPECT_EQ(client.ReadLine(), "ok insert d n=4 gids=[0,4)\n");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  client.Send(insert_frame({5, 5, nan, 6, 7, 7, 8, 8}));
+  EXPECT_EQ(client.ReadLine(), "err insert d: coordinates must be finite\n");
+
+  const std::string csv = ::testing::TempDir() + "/net_nonfinite.csv";
+  {
+    std::ofstream out(csv);
+    out << "0,0\n1,1\ninf,2\n3,3\n";
+  }
+  client.Send("load c csv " + csv + "\n");
+  EXPECT_EQ(client.ReadLine(), "err load c: coordinates must be finite\n");
+  std::remove(csv.c_str());
+
+  client.Send("emst d\nemst g\nemst c\n");
+  EXPECT_EQ(client.ReadLine().rfind("ok emst d mst_edges=3 ", 0), 0u);
+  EXPECT_EQ(client.ReadLine().rfind("ok emst g mst_edges=99 ", 0), 0u);
+  EXPECT_EQ(client.ReadLine(), "err emst c: unknown dataset: c\n");
+}
+
 TEST(NetServer, MalformedFrameClosesConnectionWithProtocolError) {
   ServerFixture fx;
   TestClient client(fx.server->port());
