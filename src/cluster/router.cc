@@ -545,6 +545,7 @@ bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out) {
   }
   size_t n = ds.live_n;
   size_t K = std::min(std::max(k, m.knn_k), n);
+  obs::Span span(BuildSpanName("knn@" + std::to_string(K)), "engine");
   std::vector<std::vector<double>> worker_rows;
   std::vector<std::string> errs(pool_.size());
   std::mutex rows_mu;
@@ -605,6 +606,7 @@ std::shared_ptr<const std::vector<double>> Router::CoreDist(
     TraceArtifact(out, /*built=*/false, key);
     return it->second;
   }
+  obs::Span span(BuildSpanName(key), "engine");
   if (!EnsureKnn(ds, static_cast<size_t>(min_pts), out)) return nullptr;
   size_t n = ds.live_n;
   size_t stride = m.knn_k;
@@ -704,6 +706,7 @@ bool Router::EnsureEmst(Dataset& ds, EngineResponse* out) {
     TraceArtifact(out, /*built=*/false, "forest-emst");
     return true;
   }
+  obs::Span span(BuildSpanName("forest-emst"), "engine");
   m.emst.mst = MergedMst(ds, net::kOpExportMst, "EMST",
                          [](size_t, std::string*) {},
                          m.merger->CrossEmstEdges(), out);

@@ -6,39 +6,52 @@
 //
 //   shard tier    per-shard kd-tree and EMST edge list, cached inside the
 //                 shard object; survive any mutation that leaves the shard
-//                 untouched (keyed implicitly by shard content id).
+//                 untouched (keyed implicitly by shard content id). A
+//                 tombstone keeps the shard's EMST edges as seeds of an
+//                 exact repair (shard.h).
 //   cross tier    per shard *pair*: the Euclidean cross candidate edges
 //                 (well-separated cross decomposition + cross BCCP, s = 2),
 //                 cached by content-id pair — stale exactly when either
 //                 side's live content changes.
-//   global tier   everything derived from the whole forest: the merged kNN
-//                 rows, the global EMST / MR-MST Kruskal results,
-//                 dendrograms and clusterings; keyed by the forest mutation
-//                 epoch.
+//   global tier   everything derived from the whole forest: the dense gid
+//                 map, the live-set kd-tree, the merged kNN rows, the
+//                 global EMST and MR-MSTs, dendrograms and clusterings;
+//                 keyed by the forest mutation epoch.
 //
-// Exactness comes from the distance-decomposition rule (Lettich,
+//            shard tier             cross tier          global tier
+//   shard i: tree, EMST (seeds) --+
+//                                 +-- cross(i,j) --> Kruskal --> EMST
+//   shard j: tree, EMST (seeds) --+
+//   all live points, dense order --> live tree --> kNN rows --> cd@m
+//                                       |                        |
+//                                       +---- MR-MST@m <---------+
+//
+// The EMST uses the distance-decomposition rule (Lettich,
 // arXiv:2406.01739): the MST of a union of parts is contained in the union
-// of the parts' MSTs plus cross-part candidate edges — valid for any
-// strictly totally ordered weight function, so it covers both the
-// Euclidean and the mutual-reachability graph. A small insert therefore
-// pays its own shard build + EMST, one cross pass against each surviving
-// shard, and a Kruskal over ~n cached edges — not an O(n) tree + kNN + MST
-// rebuild.
+// of the parts' MSTs plus cross-part candidate edges. A small insert
+// therefore pays its own shard build + EMST, one cross pass against each
+// surviving shard, and a Kruskal over ~n cached edges — not an O(n) tree
+// + MST rebuild; a delete re-runs only the tombstoned shard's MemoGFK,
+// seeded with its surviving EMST edges.
 //
-// HDBSCAN* stays exact through the multi-shard kNN merge: each point's
-// global K nearest neighbors are accumulated by querying every shard's
-// tree into one bounded heap, so core distances at any minPts <= K are the
-// square roots of the exact minPts-th smallest squared distances —
-// bit-identical to a from-scratch AllKnnDistances pass over the union. On
-// insert the cached rows are updated incrementally (merge each old row
-// with the K best candidates from the new batch's tree; new points query
-// every shard once); a delete invalidates the rows wholesale, since a
-// vanished neighbor cannot be repaired locally.
+// HDBSCAN* runs on one kd-tree over the live points in dense order, built
+// at most once per mutation epoch: a full kNN pass (after a delete, or for
+// a wider K) and every MR-MST run on it, exactly as a from-scratch build
+// over the live points does, so core distances are bit-identical and the
+// MR-MST is edge-identical to HdbscanMst over the live points. Mutual-
+// reachability weights change with every core-distance epoch, so a cross
+// tier would not survive an epoch there. On insert the cached kNN rows are
+// updated incrementally on the shard trees (merge each old row with the K
+// best candidates from the new batch's tree; new points query every shard
+// once); a delete invalidates the rows wholesale, since a vanished
+// neighbor cannot be repaired locally.
 //
 // Queries go through AnswerQuery (engine/artifact_util.h), the validation
 // and response fill shared with the static and router backends; cross
 // candidates come from CrossWspdEdges (spatial/cross_traverse.h), the one
-// cross step shared with the router and the high-dimensional EMST.
+// cross step shared with the router and the high-dimensional EMST. Every
+// artifact built gets a build:<key> trace span (BuildSpanName); the live
+// tree is traced inside the knn@K or mst@m build that first needs it.
 //
 // Per-point outputs (core distances, labels, dendrograms, MST endpoints)
 // use *dense* indices: position i corresponds to the i-th live global id in
@@ -67,6 +80,7 @@
 #include "engine/request.h"
 #include "graph/kruskal.h"
 #include "hdbscan/hdbscan_mst.h"
+#include "obs/trace.h"
 #include "spatial/cross_traverse.h"
 #include "spatial/knn.h"
 #include "store/artifact_io.h"
@@ -113,44 +127,63 @@ class DynamicArtifacts {
   }
 
   /// Live points in ascending-gid order — the router tier's export/mirror
-  /// surface (net kOpExportPoints). Lazily builds the gid list; the engine
-  /// calls it under the entry's exclusive lock.
+  /// surface (net kOpExportPoints), merged from the shards' live lists;
+  /// the engine calls it under the entry's exclusive lock.
   void ExportLive(std::vector<uint32_t>* gids, std::vector<Point<D>>* pts) {
-    *gids = forest_.LiveGids();
-    pts->resize(gids->size());
-    for (size_t i = 0; i < gids->size(); ++i) {
-      (*pts)[i] = forest_.PointOf((*gids)[i]);
-    }
+    gids->clear();
+    pts->clear();
+    gids->reserve(forest_.live_count());
+    pts->reserve(forest_.live_count());
+    forest_.ForEachLive([&](uint32_t gid, const Point<D>& p) {
+      gids->push_back(gid);
+      pts->push_back(p);
+    });
   }
 
   /// kNN rows of arbitrary query points against the live forest: row i
   /// holds the sorted squared distances from queries[i] to its k nearest
   /// live points, +inf-padded past the live count — value-identical to
-  /// the rows EnsureKnn builds for resident points (same heaps, same
-  /// kernels). Issues parallel work; shard tree accessors mutate caches,
-  /// so the engine runs this on the build executor under the exclusive
-  /// lock.
+  /// the rows EnsureKnn builds for resident points (the same distance
+  /// kernel, one bounded heap over every shard's tree). Runs on the shard
+  /// trees, so a query frame never pays for a live-tree build. Issues
+  /// parallel work; shard tree accessors mutate caches, so the engine
+  /// runs this on the build executor under the exclusive lock.
   std::vector<double> KnnForQueries(const std::vector<Point<D>>& queries,
                                     size_t k) {
     std::vector<double> rows(queries.size() * k,
                              std::numeric_limits<double>::infinity());
     size_t n = forest_.live_count();
     if (n == 0 || queries.empty()) return rows;
-    auto query = [&](size_t i) -> const Point<D>& { return queries[i]; };
-    KnnRowsInto(queries.size(), query, std::min(k, n), k, rows.data());
+    const size_t cap = std::min(k, n);
+    for (size_t s = 0; s < forest_.num_shards(); ++s) {
+      forest_.shard(s).tree();  // build outside the parallel loop
+    }
+    std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
+        NumWorkers());
+    ParallelFor(0, queries.size(), [&](size_t i) {
+      auto& buf = scratch[Scheduler::Get().MyId()];
+      if (buf.size() < cap) buf.resize(cap);
+      internal::KnnHeap heap(cap, buf.data());
+      for (size_t s = 0; s < forest_.num_shards(); ++s) {
+        internal::KnnQueryInto(forest_.shard(s).tree(), queries[i], heap);
+      }
+      std::sort(buf.data(), buf.data() + heap.size());
+      double* row = rows.data() + i * k;
+      for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
+    });
     return rows;
   }
 
   /// The forest's MR-MST under externally supplied *global* core
   /// distances (`core[i]` = core distance of the i-th live gid ascending),
   /// with gid endpoints — the per-worker part of the router's distributed
-  /// HDBSCAN* merge (net kOpShardMrMst), built by the same ForestMrMst as
-  /// the local HDBSCAN* path. Issues parallel work; engine runs it on the
-  /// build executor under the exclusive lock.
+  /// HDBSCAN* merge (net kOpShardMrMst), built on the same live-set tree
+  /// as the local HDBSCAN* path. Issues parallel work; engine runs it on
+  /// the build executor under the exclusive lock.
   std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
     if (forest_.live_count() < 2) return {};
     EnsureDense();
-    std::vector<WeightedEdge> mst = ForestMrMst(core);
+    std::vector<WeightedEdge> mst = HdbscanMstOnTree(LiveTree(), core);
     for (WeightedEdge& e : mst) {
       e.u = (*ids_dense_)[e.u];
       e.v = (*ids_dense_)[e.v];
@@ -171,7 +204,7 @@ class DynamicArtifacts {
             auto e = std::make_shared<ClusteringEntry>();
             e->core_dist = CoreDist(min_pts, out);
             e->mst = std::make_shared<const std::vector<WeightedEdge>>(
-                ForestMrMst(*e->core_dist));
+                HdbscanMstOnTree(LiveTree(), *e->core_dist));
             e->mst_weight = TotalEdgeWeight(*e->mst);
             return e;
           };
@@ -183,10 +216,10 @@ class DynamicArtifacts {
   }
 
   /// Writes the forest (per-shard files: full point batches + tombstone
-  /// bitmaps + cached shard EMSTs) plus the cached cross-edge tier and the
-  /// manifest into `dir`. Read-only — no lazy artifact builds run — so it
-  /// is safe under the engine's shared lock, concurrently with cache-hit
-  /// queries. Raises SnapshotError subtypes.
+  /// bitmaps + cached shard EMSTs, never repair seeds) plus the cached
+  /// cross-edge tier and the manifest into `dir`. Read-only — no lazy
+  /// artifact builds run — so it is safe under the engine's shared lock,
+  /// concurrently with cache-hit queries. Raises SnapshotError subtypes.
   void SaveTo(const std::string& dir) const {
     EnsureDatasetDir(dir);
     DynamicManifest m;
@@ -374,9 +407,10 @@ class DynamicArtifacts {
     clusterings_.core.clear();
     ids_dense_.reset();
     dense_of_gid_.clear();
+    live_tree_.reset();
   }
 
-  // --- dense <-> gid mapping (global tier) -------------------------------
+  // --- dense <-> gid mapping and the live-set tree (global tier) ---------
 
   void EnsureDense() {
     if (ids_dense_ && dense_epoch_ == forest_.epoch()) return;
@@ -400,6 +434,21 @@ class DynamicArtifacts {
     return it->second;
   }
 
+  /// The kd-tree over the live points in dense order (tree point id =
+  /// dense index), built at most once per epoch: HDBSCAN*'s kNN pass and
+  /// MR-MSTs run on it exactly as a from-scratch build over the live
+  /// points does.
+  KdTree<D>& LiveTree() {
+    if (!live_tree_) {
+      std::vector<Point<D>> pts;
+      pts.reserve(forest_.live_count());
+      forest_.ForEachLive(
+          [&](uint32_t, const Point<D>& p) { pts.push_back(p); });
+      live_tree_ = std::make_unique<KdTree<D>>(pts, /*leaf_size=*/1);
+    }
+    return *live_tree_;
+  }
+
   /// Kruskal over gid-space candidates, remapped to dense indices in
   /// place (concurrent const-only hash lookups are safe): the spanning
   /// tree of the live points, with dense endpoints.
@@ -417,19 +466,16 @@ class DynamicArtifacts {
 
   // --- cross candidate edges (cross tier) --------------------------------
 
-  /// Cross candidates between two shards, in gid space. The
-  /// `mutual_reach` edges need both shard trees annotated with the current
-  /// global core distances and are not cached: their weights change with
-  /// every core-distance epoch, unlike the Euclidean cross tier.
-  static std::vector<WeightedEdge> CrossCandidates(Shard<D>& sa, Shard<D>& sb,
-                                                   bool mutual_reach) {
+  /// Euclidean cross candidates between two shards, in gid space.
+  static std::vector<WeightedEdge> CrossCandidates(Shard<D>& sa,
+                                                   Shard<D>& sb) {
     const KdTree<D>& ta = sa.tree();
     const KdTree<D>& tb = sb.tree();
     const std::vector<uint32_t>& ga = sa.live_gids();
     const std::vector<uint32_t>& gb = sb.live_gids();
     return CrossBccpEdges(
         ta, tb, [&](uint32_t i) { return ga[i]; },
-        [&](uint32_t j) { return gb[j]; }, mutual_reach);
+        [&](uint32_t j) { return gb[j]; }, /*mutual_reach=*/false);
   }
 
   /// Drops cross-tier cache entries that mention a content id no longer in
@@ -461,14 +507,18 @@ class DynamicArtifacts {
       return true;
     }
     if (!allow_build) return false;
+    obs::Span span(BuildSpanName("forest-emst"), "engine");
     EnsureDense();
     PurgeStaleCrossEdges();
     std::vector<WeightedEdge> candidates;
     for (size_t i = 0; i < forest_.num_shards(); ++i) {
       Shard<D>& s = forest_.shard(i);
-      bool had = s.has_emst();
+      const std::string key = "semst@" + std::to_string(s.content_id());
+      bool built = !s.has_emst();
+      obs::Span shard_span(built ? BuildSpanName(key) : nullptr, "engine");
       const std::vector<WeightedEdge>& edges = s.EmstEdges();
-      TraceArtifact(out, !had, "semst@" + std::to_string(s.content_id()));
+      shard_span.End();
+      TraceArtifact(out, built, key);
       candidates.insert(candidates.end(), edges.begin(), edges.end());
     }
     for (size_t i = 0; i < forest_.num_shards(); ++i) {
@@ -485,9 +535,8 @@ class DynamicArtifacts {
         auto it = cross_.find(key);
         bool built = it == cross_.end();
         if (built) {
-          std::vector<WeightedEdge> edges =
-              CrossCandidates(sa, sb, /*mutual_reach=*/false);
-          it = cross_.emplace(key, std::move(edges)).first;
+          obs::Span cross_span(BuildSpanName(trace_key), "engine");
+          it = cross_.emplace(key, CrossCandidates(sa, sb)).first;
         }
         TraceArtifact(out, built, trace_key);
         candidates.insert(candidates.end(), it->second.begin(),
@@ -500,6 +549,7 @@ class DynamicArtifacts {
         std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
     emst_.dendrogram.reset();
     emst_epoch_ = forest_.epoch();
+    span.End();
     TraceArtifact(out, /*built=*/true, "forest-emst");
     return true;
   }
@@ -521,14 +571,14 @@ class DynamicArtifacts {
 
   // --- HDBSCAN* family ---------------------------------------------------
 
-  /// Multi-shard kNN merge: rebuilds the global rows at width K (>= the
-  /// requested k, clamped to n) by querying every shard's tree into one
-  /// bounded heap per point. Rows are indexed *densely* (position i = the
-  /// i-th live gid ascending) and hold the sorted squared distances to the
-  /// K global nearest neighbors (self included), so memory tracks the live
-  /// count, not the ever-growing gid space. Dense row indices stay valid
-  /// across inserts — new gids always sort after every existing one — and
-  /// deletes invalidate the rows wholesale.
+  /// Global kNN rows at width K (>= the requested k, clamped to n): a
+  /// full rebuild is one all-points kNN pass on the live-set tree. Rows are
+  /// indexed *densely* (position i = the i-th live gid ascending) and hold
+  /// the sorted squared distances to the K nearest live points (self
+  /// included), so memory tracks the live count, not the ever-growing gid
+  /// space. Dense row indices stay valid across inserts — new gids always
+  /// sort after every existing one — and deletes invalidate the rows
+  /// wholesale.
   void EnsureKnn(size_t k, EngineResponse* out) {
     if (knn_valid_ && knn_k_ >= k) {
       TraceArtifact(out, /*built=*/false, "knn@" + std::to_string(knn_k_));
@@ -536,42 +586,20 @@ class DynamicArtifacts {
     }
     size_t n = forest_.live_count();
     size_t K = std::min(std::max(k, knn_k_), n);
-    std::vector<uint32_t> gids = forest_.LiveGids();
+    const std::string key = "knn@" + std::to_string(K);
+    obs::Span span(BuildSpanName(key), "engine");
+    const KdTree<D>& t = LiveTree();
     knn_sq_.assign(n * K, 0.0);
-    auto point = [&](size_t i) -> const Point<D>& {
-      return forest_.PointOf(gids[i]);
-    };
-    KnnRowsInto(gids.size(), point, K, K, knn_sq_.data());
+    internal::AllKnnQueries(t, K, [&](uint32_t ti, internal::KnnHeap& heap) {
+      std::pair<double, uint32_t>* row = heap.data();
+      std::sort(row, row + K);
+      double* dst = knn_sq_.data() + size_t{t.id(ti)} * K;
+      for (size_t j = 0; j < K; ++j) dst[j] = row[j].first;
+    });
     knn_k_ = K;
     knn_valid_ = true;
-    TraceArtifact(out, /*built=*/true, "knn@" + std::to_string(K));
-  }
-
-  /// Multi-shard kNN merge shared by EnsureKnn and KnnForQueries: row i of
-  /// `rows` (stride `stride`) gets the sorted squared distances from
-  /// `point(i)` to its `cap` nearest live points, by querying every
-  /// shard's tree into one bounded heap. `point(i)` is looked up once per
-  /// row, outside the per-shard loop.
-  template <typename PointAt>
-  void KnnRowsInto(size_t count, const PointAt& point, size_t cap,
-                   size_t stride, double* rows) {
-    for (size_t s = 0; s < forest_.num_shards(); ++s) {
-      forest_.shard(s).tree();  // build outside the parallel loop
-    }
-    std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
-        NumWorkers());
-    ParallelFor(0, count, [&](size_t i) {
-      auto& buf = scratch[Scheduler::Get().MyId()];
-      if (buf.size() < cap) buf.resize(cap);
-      internal::KnnHeap heap(cap, buf.data());
-      const Point<D>& q = point(i);
-      for (size_t s = 0; s < forest_.num_shards(); ++s) {
-        internal::KnnQueryInto(forest_.shard(s).tree(), q, heap);
-      }
-      std::sort(buf.data(), buf.data() + heap.size());
-      double* row = rows + i * stride;
-      for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
-    });
+    span.End();
+    TraceArtifact(out, /*built=*/true, key);
   }
 
   /// Incremental row maintenance for one insert batch, run *before* the
@@ -586,8 +614,11 @@ class DynamicArtifacts {
     for (size_t s = 0; s < forest_.num_shards(); ++s) {
       forest_.shard(s).tree();  // build outside the parallel loop
     }
-    std::vector<uint32_t> old_gids = forest_.LiveGids();
-    size_t old_n = old_gids.size();
+    std::vector<Point<D>> old_pts;
+    old_pts.reserve(forest_.live_count());
+    forest_.ForEachLive(
+        [&](uint32_t, const Point<D>& p) { old_pts.push_back(p); });
+    size_t old_n = old_pts.size();
     // New points extend the dense row range: their gids exceed every
     // existing gid, so existing rows keep their dense positions.
     knn_sq_.resize((old_n + batch.size()) * K, 0.0);
@@ -601,8 +632,7 @@ class DynamicArtifacts {
       if (sc.heap.size() < K) sc.heap.resize(K);
       if (sc.merged.size() < K) sc.merged.resize(K);
       internal::KnnHeap heap(K, sc.heap.data());
-      internal::KnnQueryInto(batch_tree, forest_.PointOf(old_gids[idx]),
-                             heap);
+      internal::KnnQueryInto(batch_tree, old_pts[idx], heap);
       size_t c = heap.size();
       std::sort(sc.heap.data(), sc.heap.data() + c);
       double* row = knn_sq_.data() + idx * K;
@@ -638,6 +668,7 @@ class DynamicArtifacts {
       TraceArtifact(out, /*built=*/false, key);
       return it->second;
     }
+    obs::Span span(BuildSpanName(key), "engine");
     EnsureKnn(static_cast<size_t>(min_pts), out);
     EnsureDense();
     size_t n = forest_.live_count();
@@ -647,44 +678,19 @@ class DynamicArtifacts {
       (*cd)[i] = std::sqrt(knn_sq_[i * stride + (min_pts - 1)]);
     });
     clusterings_.core.emplace(min_pts, cd);
+    span.End();
     TraceArtifact(out, /*built=*/true, key);
     return cd;
   }
 
-  /// The exact MR-MST of the forest under dense global core distances,
-  /// with dense endpoints: per-shard MR-MSTs — annotating every shard tree
-  /// with the global core distances, which the cross BCCP* pass then
-  /// reads — plus cross BCCP* candidates, Kruskal'd. EnsureDense must be
-  /// current.
-  std::vector<WeightedEdge> ForestMrMst(const std::vector<double>& core) {
-    std::vector<WeightedEdge> candidates;
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      Shard<D>& s = forest_.shard(i);
-      const std::vector<uint32_t>& lg = s.live_gids();
-      std::vector<double> cd_local(lg.size());
-      for (size_t l = 0; l < lg.size(); ++l) {
-        cd_local[l] = core[DenseOf(lg[l])];
-      }
-      for (const WeightedEdge& e : HdbscanMstOnTree(s.tree(), cd_local)) {
-        candidates.push_back({lg[e.u], lg[e.v], e.w});
-      }
-    }
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
-        std::vector<WeightedEdge> edges = CrossCandidates(
-            forest_.shard(i), forest_.shard(j), /*mutual_reach=*/true);
-        candidates.insert(candidates.end(), edges.begin(), edges.end());
-      }
-    }
-    return DenseKruskal(std::move(candidates));
-  }
-
   ShardForest<D> forest_;
 
-  // Global tier: dense mapping (compacting: keyed by live gids only).
+  // Global tier: dense mapping (compacting: keyed by live gids only) and
+  // the kd-tree over the live points in dense order (HDBSCAN*).
   std::shared_ptr<const std::vector<uint32_t>> ids_dense_;
   std::unordered_map<uint32_t, uint32_t> dense_of_gid_;
   uint64_t dense_epoch_ = kNoEpoch;
+  std::unique_ptr<KdTree<D>> live_tree_;
 
   // Cross tier: Euclidean candidates per content-id pair.
   std::map<std::pair<uint64_t, uint64_t>, std::vector<WeightedEdge>> cross_;

@@ -13,11 +13,13 @@
 //
 // Global ids are assigned sequentially at insertion and never reused. The
 // locator is a *compacting* hash map gid -> (shard uid, local index):
-// tombstoning erases the entry, so the map (and every per-epoch scan over
-// it, e.g. LiveGids) is O(live points), not O(historical gid space) — a
-// churn-heavy long-running dataset stays bounded however many gids it has
-// burned through. Tombstoning moves no points, so surviving entries stay
-// valid until a merge or compaction relocates the survivors.
+// tombstoning erases the entry, so the map is O(live points), not
+// O(historical gid space) — a churn-heavy long-running dataset stays
+// bounded however many gids it has burned through. Tombstoning moves no
+// points, so surviving entries stay valid until a merge or compaction
+// relocates the survivors. Whole-forest scans in gid order (ForEachLive,
+// LiveGids) do not touch the locator: they merge the shards' gid-ascending
+// live lists.
 //
 // `epoch()` counts mutations: any artifact derived from the whole forest
 // (the global EMST, merged kNN rows, per-minPts clusterings) is tagged with
@@ -169,14 +171,43 @@ class ShardForest {
     return shards_[slot_of_uid_.at(loc.uid)]->points()[loc.local];
   }
 
-  /// All live gids, ascending. O(live log live): the compacting locator
-  /// holds exactly the live entries, independent of how many gids history
-  /// has burned through.
-  std::vector<uint32_t> LiveGids() const {
+  /// Calls visit(gid, point) for every live point in ascending gid order:
+  /// a merge of the shards' gid-ascending live lists, O(live log shards)
+  /// with no locator lookup.
+  template <typename Visit>
+  void ForEachLive(const Visit& visit) {
+    struct Cursor {
+      const uint32_t* gid;  ///< next live gid of one shard
+      const uint32_t* end;
+      const Point<D>* point;  ///< the point of *gid
+    };
+    auto later = [](const Cursor& a, const Cursor& b) {
+      return *a.gid > *b.gid;
+    };
+    std::vector<Cursor> heap;
+    for (auto& s : shards_) {
+      const std::vector<uint32_t>& g = s->live_gids();
+      if (g.empty()) continue;
+      heap.push_back({g.data(), g.data() + g.size(), s->live_points().data()});
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      Cursor& c = heap.back();
+      visit(*c.gid++, *c.point++);
+      if (c.gid == c.end) {
+        heap.pop_back();
+      } else {
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+  }
+
+  /// All live gids, ascending (see ForEachLive).
+  std::vector<uint32_t> LiveGids() {
     std::vector<uint32_t> out;
     out.reserve(live_count_);
-    for (const auto& [gid, loc] : loc_) out.push_back(gid);
-    std::sort(out.begin(), out.end());
+    ForEachLive([&](uint32_t gid, const Point<D>&) { out.push_back(gid); });
     return out;
   }
 

@@ -5,9 +5,18 @@
 // what every derived artifact is defined over: a flat kd-tree arena built
 // with the existing arena builder, and the shard's Euclidean MST edge list
 // in global-id space. Both are built lazily and cached until the live set
-// changes (a tombstone drops them; the GPU single-tree EMST line of work,
-// Prokopenko et al. arXiv:2207.00514, motivates keeping each shard a static
-// flat arena rather than mutating the tree in place).
+// changes (the GPU single-tree EMST line of work, Prokopenko et al.
+// arXiv:2207.00514, motivates keeping each shard a static flat arena
+// rather than mutating the tree in place).
+//
+// A tombstone drops the tree but keeps the EMST edges as *seeds*, across
+// further tombstones, until the next EMST build. Under the strict
+// (w, min id, max id) order every MST edge between two surviving points is
+// an edge of the survivors' MST (a cycle among the survivors is a cycle of
+// the whole set), so the rebuild pre-unions the surviving seeds and its
+// MemoGFK rounds only search for the edges that reconnect the fragments —
+// an exact repair, not an approximation. A merge or compaction discards
+// the shard and its seeds; snapshots do not save them.
 //
 // Identity is two-level:
 //  * `uid`        — stable for the lifetime of the shard object; the
@@ -24,13 +33,16 @@
 // forest's MSTs to match a from-scratch build edge-for-edge.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "emst/emst_memogfk.h"
 #include "graph/edge.h"
+#include "parallel/primitives.h"
 #include "spatial/kdtree.h"
 #include "util/check.h"
 
@@ -100,8 +112,10 @@ class Shard {
   /// has_emst()); read-only, for snapshot saves.
   const std::vector<WeightedEdge>& cached_emst() const { return emst_; }
 
-  /// Tombstones one local index, dropping the live-set artifacts. The
-  /// forest bumps `content_id` alongside. Returns false if already dead.
+  /// Tombstones one local index, dropping the live-set artifacts except
+  /// the EMST edges, which become the seeds of the next EmstEdges() build
+  /// (seeds already kept from an earlier tombstone stay). The forest bumps
+  /// `content_id` alongside. Returns false if already dead.
   bool Tombstone(uint32_t local, uint64_t new_content_id) {
     PARHC_CHECK(local < pts_.size());
     if (dead_[local]) return false;
@@ -109,6 +123,7 @@ class Shard {
     ++dead_count_;
     content_id_ = new_content_id;
     tree_.reset();
+    if (has_emst_) seeds_ = std::move(emst_);
     emst_.clear();
     has_emst_ = false;
     live_pts_.clear();
@@ -140,10 +155,12 @@ class Shard {
   }
 
   /// The shard's exact EMST over its live points, edges in global-id space,
-  /// built on first use via MemoGFK on the shard tree.
+  /// built on first use via MemoGFK on the shard tree, seeded with the
+  /// kept edges whose endpoints are both still live.
   const std::vector<WeightedEdge>& EmstEdges() {
     if (!has_emst_) {
-      emst_ = EmstMemoGfkOnTree(tree());
+      emst_ = EmstMemoGfkOnTree(tree(), /*phases=*/nullptr, /*opts=*/{},
+                                LiveSeeds());
       const std::vector<uint32_t>& lg = live_gids();
       for (WeightedEdge& e : emst_) {
         e.u = lg[e.u];
@@ -168,6 +185,27 @@ class Shard {
   Shard& operator=(const Shard&) = delete;
 
  private:
+  /// Takes the kept seeds whose two endpoints are still live, remapped to
+  /// live-local ids by binary search in the gid-ascending live_gids().
+  std::vector<WeightedEdge> LiveSeeds() {
+    constexpr uint32_t kGone = std::numeric_limits<uint32_t>::max();
+    const std::vector<uint32_t>& lg = live_gids();
+    auto local = [&lg](uint32_t gid) {
+      auto it = std::lower_bound(lg.begin(), lg.end(), gid);
+      return it != lg.end() && *it == gid
+                 ? static_cast<uint32_t>(it - lg.begin())
+                 : kGone;
+    };
+    std::vector<WeightedEdge> seeds = std::move(seeds_);  // empties seeds_
+    ParallelFor(0, seeds.size(), [&](size_t i) {
+      seeds[i].u = local(seeds[i].u);
+      seeds[i].v = local(seeds[i].v);
+    });
+    return Filter(seeds, [](const WeightedEdge& e) {
+      return e.u != kGone && e.v != kGone;
+    });
+  }
+
   void EnsureLive() {
     if (dead_count_ == 0 || !live_pts_.empty()) return;
     live_pts_.reserve(live_count());
@@ -187,12 +225,14 @@ class Shard {
   std::vector<uint8_t> dead_;  ///< tombstone bitmap (1 byte per point)
   size_t dead_count_ = 0;
 
-  // Live-set artifacts, dropped on every tombstone.
+  // Live-set artifacts, dropped on every tombstone (the EMST edges move to
+  // `seeds_`, in global-id space, until the next EmstEdges() build).
   std::vector<Point<D>> live_pts_;
   std::vector<uint32_t> live_gids_;
   std::unique_ptr<KdTree<D>> tree_;
   std::vector<WeightedEdge> emst_;
   bool has_emst_ = false;
+  std::vector<WeightedEdge> seeds_;
 };
 
 }  // namespace parhc

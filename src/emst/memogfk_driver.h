@@ -95,7 +95,8 @@ void GetPairs(const KdTree<D>& t, const Sep& sep, const LbFn& lb,
 }
 
 /// Runs the MemoGFK round loop over `tree` and returns the MST edges.
-/// `initial_edges` (duplicate-leaf edges) are union'd in first.
+/// `initial_edges` (duplicate-leaf edges, plus any seed edges known to be
+/// in the MST) are union'd in first.
 template <int D, typename Sep, typename LbFn, typename UbFn, typename BccpFn>
 std::vector<WeightedEdge> MemoGfkMst(KdTree<D>& tree, const Sep& sep,
                                      const LbFn& lb, const UbFn& ub,

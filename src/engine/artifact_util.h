@@ -4,8 +4,9 @@
 // over sharded workers (cluster/router.cc). AnswerQuery owns the one
 // validation order and error strings, label extraction and the response
 // fill; a backend supplies only its EMST and its per-minPts MR-MST. The
-// helpers below keep the build/reuse traces and the dendrograms identical
-// across backends.
+// helpers below keep the build/reuse traces, the build:<key> trace spans
+// (one per artifact built, see README "Observability") and the dendrograms
+// identical across backends.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "engine/request.h"
 #include "graph/edge.h"
 #include "hdbscan/stability.h"
+#include "obs/trace.h"
 
 namespace parhc {
 
@@ -43,6 +45,14 @@ inline void TraceArtifact(EngineResponse* out, bool built,
   };
   if (contains(out->built) || contains(out->reused)) return;
   (built ? out->built : out->reused).push_back(key);
+}
+
+/// Interned span name for a cold build of artifact `key` (nullptr when
+/// tracing is off, which makes the obs::Span a no-op). Builds are rare,
+/// so the intern mutex never touches the request fast path.
+inline const char* BuildSpanName(const std::string& key) {
+  if (!obs::Tracer::Get().enabled()) return nullptr;
+  return obs::Tracer::Get().Intern("build:" + key);
 }
 
 inline double TotalEdgeWeight(const std::vector<WeightedEdge>& edges) {
@@ -129,8 +139,9 @@ void EvictLruClusterings(
 
 /// Build-or-reuse step for one artifact derived from an MST (`sl-dendro`,
 /// `dendro@m`, `reach@m`) in a backend that serializes its builds: fills
-/// an empty `slot` from `build()` and traces `key` as built, else as
-/// reused. Returns false iff the slot is empty and !allow_build.
+/// an empty `slot` from `build()` inside a build:<key> span and traces
+/// `key` as built, else as reused. Returns false iff the slot is empty
+/// and !allow_build.
 template <typename T, typename Build>
 bool EnsureDerived(std::shared_ptr<const T>& slot, const std::string& key,
                    bool allow_build, EngineResponse* out,
@@ -138,6 +149,7 @@ bool EnsureDerived(std::shared_ptr<const T>& slot, const std::string& key,
   bool built = !slot;
   if (built) {
     if (!allow_build) return false;
+    obs::Span span(BuildSpanName(key), "engine");
     slot = build();
   }
   TraceArtifact(out, built, key);
@@ -154,9 +166,9 @@ struct ClusteringCache {
   std::atomic<uint64_t> clock{0};
 
   /// AnswerQuery's clustering step over `n` points. A missing entry comes
-  /// from `build()` — core distances plus MR-MST, or null after the
-  /// backend set out->error. Returns false iff something was missing and
-  /// !allow_build.
+  /// from `build()`, run inside a build:mst@m span — core distances plus
+  /// MR-MST, or null after the backend set out->error. Returns false iff
+  /// something was missing and !allow_build.
   template <typename Build>
   bool View(int min_pts, bool need_plot, size_t n, bool allow_build,
             EngineResponse* out, const Build& build, ClusteringView* view) {
@@ -164,7 +176,9 @@ struct ClusteringCache {
     auto it = entries.find(min_pts);
     if (it == entries.end()) {
       if (!allow_build) return false;
+      obs::Span span(BuildSpanName("mst" + suffix), "engine");
       std::shared_ptr<ClusteringEntry> built = build();
+      span.End();
       if (!built) return true;
       TraceArtifact(out, /*built=*/true, "mst" + suffix);
       it = entries.emplace(min_pts, std::move(built)).first;

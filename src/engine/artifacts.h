@@ -35,12 +35,15 @@
 //    safe because responses hold shared_ptr snapshots. Removing or
 //    replacing a dataset drops the whole cache.
 //  * The *mutable* backend (dynamic/artifacts.h) stores points as an LSM
-//    shard forest and splits every artifact into a shard-local part (keyed
-//    by shard content id: per-shard trees and EMSTs survive any mutation
-//    that leaves their shard untouched), a cross-shard part (per shard
-//    pair, invalidated exactly when either side's content changes), and a
-//    forest-global part (keyed by the forest mutation epoch: the merged
-//    kNN rows, the global Kruskal result, dendrograms). An insert
+//    shard forest and splits the EMST into a shard-local part (keyed by
+//    shard content id: per-shard trees and EMSTs survive any mutation
+//    that leaves their shard untouched, and a tombstoned shard's EMST
+//    seeds its exact repair), a cross-shard part (per shard pair,
+//    invalidated exactly when either side's content changes), and a
+//    forest-global part keyed by the forest mutation epoch: the global
+//    Kruskal result, dendrograms, and the HDBSCAN* branch, which runs on
+//    one kd-tree over the live points (kNN rows, core distances, MR-MSTs
+//    — edge-identical to this backend over the same points). An insert
 //    therefore dirties only the new shard's artifacts, the cross edges
 //    that mention it, and the global tier — never surviving shard
 //    artifacts.
@@ -339,14 +342,6 @@ class DatasetArtifacts {
 
   static void Trace(EngineResponse* out, bool built, const std::string& key) {
     TraceArtifact(out, built, key);
-  }
-
-  /// Interned span name for a cold build of artifact `key` (nullptr when
-  /// tracing is off, which makes the obs::Span a no-op). Builds are rare,
-  /// so the intern mutex never touches the request fast path.
-  static const char* BuildSpanName(const std::string& key) {
-    if (!obs::Tracer::Get().enabled()) return nullptr;
-    return obs::Tracer::Get().Intern("build:" + key);
   }
 
   /// The monitor step of one DAG node. `get()` reads the node under

@@ -12,7 +12,10 @@
 // (s = 2, the classical GFK argument applied pairwise). The same cycle-rule
 // argument works for any strictly totally ordered weight function, which is
 // how the mutual-reachability variant (CrossBccpStar with globally computed
-// core distances) keeps HDBSCAN* exact over the shard forest.
+// core distances) keeps the router's distributed HDBSCAN* merge exact. That
+// variant serves only the router: the shard forest runs HDBSCAN* on one
+// kd-tree over its live points (dynamic/artifacts.h), because mutual-
+// reachability cross edges cannot be cached across core-distance epochs.
 //
 // Both engines keep the two arenas positionally distinct — the first index
 // always addresses `ta`, the second `tb` — and split the node with the
@@ -189,8 +192,8 @@ ClosestPair CrossBccp(const KdTree<D>& ta, const KdTree<D>& tb, uint32_t a,
 }
 
 /// Exact closest pair under mutual reachability distance between two trees
-/// (cross-shard BCCP*). Both trees must have core distances annotated — with
-/// *globally* computed core distances for shard-forest exactness.
+/// (cross-slice BCCP*). Both trees must have core distances annotated — with
+/// *globally* computed core distances for the router merge's exactness.
 template <int D, typename IdA, typename IdB>
 ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
                           uint32_t a, uint32_t b, const IdA& ida,
@@ -224,8 +227,8 @@ ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
 }
 
 /// CrossWspdEdges with each cross pair's exact closest pair: its CrossBccp
-/// edge, or with `mutual_reach` its CrossBccpStar edge (both trees then
-/// carry core distances). `ida` / `idb` map tree point ids to the global
+/// edge, or with `mutual_reach` (the router's MR-MST merge) its
+/// CrossBccpStar edge (both trees then carry core distances). `ida` / `idb` map tree point ids to the global
 /// ids the edges carry.
 template <int D, typename IdA, typename IdB>
 std::vector<WeightedEdge> CrossBccpEdges(const KdTree<D>& ta,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "hdbscan/hdbscan.h"
 #include "spatial/cross_traverse.h"
 #include "test_util.h"
+#include "util/stats.h"
 
 namespace parhc {
 namespace {
@@ -340,6 +342,175 @@ TEST(DynamicOracle, HigherDimensionalForest) {
   }
   ExpectEmstMatchesScratch(dyn, mirror);
   ExpectHdbscanMatchesScratch(dyn, mirror, 6);
+}
+
+/// Asserts the shard-forest HDBSCAN* MST is edge-identical to HdbscanMst
+/// over the live points in gid order, with bit-identical core distances:
+/// the forest runs the kNN pass and the MR-MST on one kd-tree over the
+/// same points in the same order.
+template <int D>
+void ExpectHdbscanEdgesMatchScratch(DynamicArtifacts<D>& dyn,
+                                    const Mirror<D>& mirror, int min_pts) {
+  EngineRequest req;
+  req.type = QueryType::kHdbscan;
+  req.min_pts = min_pts;
+  EngineResponse r;
+  ASSERT_TRUE(dyn.Answer(req, /*allow_build=*/true, &r));
+  ASSERT_TRUE(r.ok) << r.error;
+  HdbscanMstResult direct = HdbscanMst(mirror.LivePoints(), min_pts);
+  EXPECT_EQ(*r.core_dist, direct.core_dist) << "minPts " << min_pts;
+  EXPECT_EQ(Sorted(*r.mst), Sorted(direct.mst)) << "minPts " << min_pts;
+}
+
+/// Deletes every live gid that `rng` picks with probability 1/every.
+template <int D>
+void DeleteRandomLive(DynamicArtifacts<D>& dyn, Mirror<D>& mirror,
+                      std::mt19937_64& rng, int every) {
+  std::vector<uint32_t> victims;
+  for (uint32_t gid = 0; gid < mirror.pts.size(); ++gid) {
+    if (mirror.live[gid] && rng() % every == 0) victims.push_back(gid);
+  }
+  ASSERT_EQ(dyn.DeleteBatch(victims), victims.size());
+  for (uint32_t gid : victims) mirror.live[gid] = false;
+}
+
+/// Insert-only, delete-only and mixed rounds, each read at minPts 8 and
+/// then 4 (the kNN prefix reuse path): after an insert the kNN rows are
+/// maintained incrementally, after a delete they are rebuilt on the
+/// live-set tree.
+template <int D>
+void HdbscanEdgeIdentityUnderChurn(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  DynamicArtifacts<D> dyn;
+  Mirror<D> mirror;
+  auto base = SeedSpreaderVarden<D>(700, seed, 3);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectHdbscanEdgesMatchScratch(dyn, mirror, 8);
+  for (int round = 0; round < 4; ++round) {
+    if (round != 1) {
+      auto batch = SeedSpreaderVarden<D>(70 + 11 * round, seed + round, 2);
+      mirror.Insert(batch);
+      dyn.InsertBatch(batch);
+    }
+    if (round % 2 == 1) DeleteRandomLive(dyn, mirror, rng, 15);
+    ExpectHdbscanEdgesMatchScratch(dyn, mirror, 8);
+    ExpectHdbscanEdgesMatchScratch(dyn, mirror, 4);
+  }
+  EXPECT_GT(dyn.num_shards(), size_t{1});
+}
+
+TEST(DynamicOracle, HdbscanEdgeIdenticalAfterInterleavedBatches2D) {
+  HdbscanEdgeIdentityUnderChurn<2>(71);
+}
+
+TEST(DynamicOracle, HdbscanEdgeIdenticalAfterInterleavedBatches3D) {
+  HdbscanEdgeIdentityUnderChurn<3>(73);
+}
+
+// --- Seeded repair of tombstoned shard EMSTs -----------------------------
+
+TEST(DynamicSeededRepair, TwoDeleteBatchesOnOneShardBeforeOneRead) {
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = test::RandomPoints<2>(1000, 81);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectEmstMatchesScratch(dyn, mirror);  // the shard EMST the seeds are
+  std::mt19937_64 rng(82);
+  DeleteRandomLive(dyn, mirror, rng, 20);
+  DeleteRandomLive(dyn, mirror, rng, 20);
+  // Both batches tombstoned the one shard in place; no compaction ran.
+  ASSERT_EQ(dyn.num_shards(), size_t{1});
+  ASSERT_GT(dyn.num_tombstones(), size_t{50});
+  ExpectEmstMatchesScratch(dyn, mirror);
+  // The repaired EMST seeds the next repair.
+  DeleteRandomLive(dyn, mirror, rng, 20);
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicSeededRepair, ThreeDimensionalForest) {
+  DynamicArtifacts<3> dyn;
+  Mirror<3> mirror;
+  for (int b = 0; b < 3; ++b) {
+    auto batch = test::RandomPoints<3>(150 + 200 * b, 310 + b);
+    mirror.Insert(batch);
+    dyn.InsertBatch(batch);
+  }
+  ExpectEmstMatchesScratch(dyn, mirror);
+  std::mt19937_64 rng(83);
+  DeleteRandomLive(dyn, mirror, rng, 12);
+  ASSERT_GT(dyn.num_tombstones(), size_t{0});
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicSeededRepair, CompactionDropsSeedsAndStaysExact) {
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = test::RandomPoints<2>(600, 84);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectEmstMatchesScratch(dyn, mirror);
+  std::vector<uint32_t> first, second;
+  for (uint32_t g = 0; g < 600; ++g) {
+    if (g % 10 == 3) first.push_back(g);
+    if (g % 10 == 5 || g % 10 == 7) second.push_back(g);
+  }
+  // 10 % dead: tombstoned in place, the EMST becomes seeds...
+  ASSERT_EQ(dyn.DeleteBatch(first), first.size());
+  for (uint32_t g : first) mirror.live[g] = false;
+  ASSERT_EQ(dyn.num_tombstones(), first.size());
+  // ...then 30 % dead crosses kCompactDeadFraction: the survivors move to
+  // a fresh shard without seeds.
+  ASSERT_EQ(dyn.DeleteBatch(second), second.size());
+  for (uint32_t g : second) mirror.live[g] = false;
+  ASSERT_EQ(dyn.num_tombstones(), size_t{0});
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicSeededRepair, DuplicateHeavySetMatchesByWeight) {
+  auto pts = test::DuplicatedPoints<2>(800, 85);
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  mirror.Insert(pts);
+  dyn.InsertBatch(pts);
+  EngineRequest req;
+  req.type = QueryType::kEmst;
+  EngineResponse warm;
+  ASSERT_TRUE(dyn.Answer(req, /*allow_build=*/true, &warm));
+  std::mt19937_64 rng(86);
+  DeleteRandomLive(dyn, mirror, rng, 10);
+  ASSERT_GT(dyn.num_tombstones(), size_t{0});
+  EngineResponse r;
+  ASSERT_TRUE(dyn.Answer(req, /*allow_build=*/true, &r));
+  ASSERT_TRUE(r.ok) << r.error;
+  // Which zero-weight edges span a duplicate group is not unique.
+  std::vector<WeightedEdge> scratch = EmstMemoGfk(mirror.LivePoints());
+  EXPECT_EQ(SortedWeights(*r.mst), SortedWeights(scratch));
+}
+
+TEST(DynamicSeededRepair, RepairComputesFewerBccpsThanScratch) {
+  auto pts = test::RandomPoints<2>(3000, 87);
+  std::vector<uint32_t> gids(pts.size());
+  std::iota(gids.begin(), gids.end(), 0u);
+  Shard<2> shard(/*uid=*/0, /*content_id=*/0, pts, gids);
+  shard.EmstEdges();
+  for (uint32_t g = 0; g < pts.size(); g += 41) shard.Tombstone(g, g + 1);
+  StatsEpoch repair_epoch;
+  std::vector<WeightedEdge> repaired = shard.EmstEdges();
+  uint64_t repair_bccp = repair_epoch.Delta().bccp_computed;
+
+  KdTree<2> tree(shard.live_points(), /*leaf_size=*/1);
+  StatsEpoch scratch_epoch;
+  std::vector<WeightedEdge> scratch = EmstMemoGfkOnTree(tree);
+  uint64_t scratch_bccp = scratch_epoch.Delta().bccp_computed;
+  const std::vector<uint32_t>& lg = shard.live_gids();
+  for (WeightedEdge& e : scratch) {
+    e.u = lg[e.u];
+    e.v = lg[e.v];
+  }
+  EXPECT_EQ(Sorted(repaired), Sorted(scratch));
+  EXPECT_LT(repair_bccp, scratch_bccp);
 }
 
 // --- Duplicates arriving across batches (zero-weight cross edges) --------

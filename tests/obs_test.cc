@@ -1,6 +1,7 @@
 // Observability layer unit tests: metrics registry rendering, latency
 // histogram quantiles vs an exact reference, slow-query log semantics,
-// the span tracer (including the Chrome trace_event JSON dump), and the
+// the span tracer (including the Chrome trace_event JSON dump and the
+// build:<key> spans of the shard-forest backend), and the
 // StatsEpoch scoped-delta contract over util/stats.h's per-thread counter
 // slots (exact sums under concurrency, work counts independent of the
 // worker count).
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "data/generators.h"
+#include "dynamic/artifacts.h"
 #include "emst/emst_memogfk.h"
 #include "hdbscan/hdbscan_mst.h"
 #include "net/stats.h"
@@ -397,6 +399,48 @@ TEST_F(TracerTest, ConcurrentRecordWhileDumpingIsSafe) {
   stop.store(true, std::memory_order_relaxed);
   recorder.join();
   EXPECT_GT(t.spans_recorded(), 0u);
+}
+
+size_t CountOccurrences(const std::string& text, const std::string& what) {
+  size_t count = 0;
+  for (size_t at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + what.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(TracerTest, DynamicSetBuildsEmitOneSpanPerArtifact) {
+  DynamicArtifacts<2> dyn;
+  dyn.InsertBatch(SeedSpreaderVarden<2>(400, 5, 2));
+  dyn.InsertBatch(SeedSpreaderVarden<2>(50, 6, 2));  // a second shard
+  ASSERT_EQ(dyn.num_shards(), size_t{2});
+  EngineRequest emst;
+  emst.type = QueryType::kEmst;
+  EngineRequest hdbscan;
+  hdbscan.type = QueryType::kHdbscan;
+  hdbscan.min_pts = 10;
+  auto answer_both = [&] {
+    for (const EngineRequest& req : {emst, hdbscan}) {
+      EngineResponse r;
+      ASSERT_TRUE(dyn.Answer(req, /*allow_build=*/true, &r));
+      ASSERT_TRUE(r.ok) << r.error;
+    }
+  };
+  answer_both();
+  std::string json = obs::Tracer::Get().DumpJson();
+  for (const char* name :
+       {"build:forest-emst", "build:semst@", "build:xemst@", "build:knn@10",
+        "build:cd@10", "build:mst@10", "build:dendro@10"}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name),
+              std::string::npos)
+        << name;
+  }
+  const std::string build = "\"name\":\"build:";
+  size_t builds = CountOccurrences(json, build);
+  // Cache hits build nothing, so they add no build span.
+  answer_both();
+  EXPECT_EQ(CountOccurrences(obs::Tracer::Get().DumpJson(), build), builds);
 }
 
 // --- Obs metrics source ---------------------------------------------------
