@@ -228,8 +228,8 @@ ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
 
 /// CrossWspdEdges with each cross pair's exact closest pair: its CrossBccp
 /// edge, or with `mutual_reach` (the router's MR-MST merge) its
-/// CrossBccpStar edge (both trees then carry core distances). `ida` / `idb` map tree point ids to the global
-/// ids the edges carry.
+/// CrossBccpStar edge (both trees then carry core distances). `ida` /
+/// `idb` map tree point ids to the global ids the edges carry.
 template <int D, typename IdA, typename IdB>
 std::vector<WeightedEdge> CrossBccpEdges(const KdTree<D>& ta,
                                          const KdTree<D>& tb, const IdA& ida,
