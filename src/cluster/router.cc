@@ -706,7 +706,7 @@ bool Router::EnsureEmst(Dataset& ds, EngineResponse* out) {
     TraceArtifact(out, /*built=*/false, "forest-emst");
     return true;
   }
-  obs::Span span(BuildSpanName("forest-emst"), "engine");
+  obs::Span span("build:forest-emst", "engine");
   m.emst.mst = MergedMst(ds, net::kOpExportMst, "EMST",
                          [](size_t, std::string*) {},
                          m.merger->CrossEmstEdges(), out);

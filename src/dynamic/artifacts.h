@@ -50,8 +50,11 @@
 // and response fill shared with the static and router backends; cross
 // candidates come from CrossWspdEdges (spatial/cross_traverse.h), the one
 // cross step shared with the router and the high-dimensional EMST. Every
-// artifact built gets a build:<key> trace span (BuildSpanName); the live
-// tree is traced inside the knn@K or mst@m build that first needs it.
+// artifact built gets a trace span: build:<key> (BuildSpanName) for the
+// parameter-keyed knn@K, cd@m, mst@m and derived artifacts, and the fixed
+// names build:semst, build:xemst and build:forest-emst for the EMST tiers,
+// whose keys carry content ids that grow without bound under churn. The
+// live tree is traced inside the knn@K or mst@m build that first needs it.
 //
 // Per-point outputs (core distances, labels, dendrograms, MST endpoints)
 // use *dense* indices: position i corresponds to the i-th live global id in
@@ -143,11 +146,10 @@ class DynamicArtifacts {
   /// kNN rows of arbitrary query points against the live forest: row i
   /// holds the sorted squared distances from queries[i] to its k nearest
   /// live points, +inf-padded past the live count — value-identical to
-  /// the rows EnsureKnn builds for resident points (the same distance
-  /// kernel, one bounded heap over every shard's tree). Runs on the shard
-  /// trees, so a query frame never pays for a live-tree build. Issues
-  /// parallel work; shard tree accessors mutate caches, so the engine
-  /// runs this on the build executor under the exclusive lock.
+  /// the rows EnsureKnn builds for resident points (the same kernel on the
+  /// same live-set tree, which the router's next frame, kOpShardMrMst,
+  /// reuses). Issues parallel work and may build the live tree, so the
+  /// engine runs this on the build executor under the exclusive lock.
   std::vector<double> KnnForQueries(const std::vector<Point<D>>& queries,
                                     size_t k) {
     std::vector<double> rows(queries.size() * k,
@@ -155,18 +157,14 @@ class DynamicArtifacts {
     size_t n = forest_.live_count();
     if (n == 0 || queries.empty()) return rows;
     const size_t cap = std::min(k, n);
-    for (size_t s = 0; s < forest_.num_shards(); ++s) {
-      forest_.shard(s).tree();  // build outside the parallel loop
-    }
+    const KdTree<D>& tree = LiveTree();
     std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
         NumWorkers());
     ParallelFor(0, queries.size(), [&](size_t i) {
       auto& buf = scratch[Scheduler::Get().MyId()];
       if (buf.size() < cap) buf.resize(cap);
       internal::KnnHeap heap(cap, buf.data());
-      for (size_t s = 0; s < forest_.num_shards(); ++s) {
-        internal::KnnQueryInto(forest_.shard(s).tree(), queries[i], heap);
-      }
+      internal::KnnQueryInto(tree, queries[i], heap);
       std::sort(buf.data(), buf.data() + heap.size());
       double* row = rows.data() + i * k;
       for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
@@ -507,7 +505,9 @@ class DynamicArtifacts {
       return true;
     }
     if (!allow_build) return false;
-    obs::Span span(BuildSpanName("forest-emst"), "engine");
+    // Literal span names: interning the content-id keys would grow the
+    // tracer's intern table with every write (see the header comment).
+    obs::Span span("build:forest-emst", "engine");
     EnsureDense();
     PurgeStaleCrossEdges();
     std::vector<WeightedEdge> candidates;
@@ -515,7 +515,7 @@ class DynamicArtifacts {
       Shard<D>& s = forest_.shard(i);
       const std::string key = "semst@" + std::to_string(s.content_id());
       bool built = !s.has_emst();
-      obs::Span shard_span(built ? BuildSpanName(key) : nullptr, "engine");
+      obs::Span shard_span(built ? "build:semst" : nullptr, "engine");
       const std::vector<WeightedEdge>& edges = s.EmstEdges();
       shard_span.End();
       TraceArtifact(out, built, key);
@@ -535,7 +535,7 @@ class DynamicArtifacts {
         auto it = cross_.find(key);
         bool built = it == cross_.end();
         if (built) {
-          obs::Span cross_span(BuildSpanName(trace_key), "engine");
+          obs::Span cross_span("build:xemst", "engine");
           it = cross_.emplace(key, CrossCandidates(sa, sb)).first;
         }
         TraceArtifact(out, built, trace_key);

@@ -132,12 +132,30 @@ void Tracer::RecordSpan(const char* name, const char* cat, uint64_t trace_id,
   ring->head.store(h + 1, std::memory_order_release);
 }
 
+namespace {
+
+struct InternTable {
+  std::mutex mu;
+  std::unordered_set<std::string> names;
+};
+
+InternTable& Interned() {
+  static InternTable* table = new InternTable;  // never destroyed
+  return *table;
+}
+
+}  // namespace
+
 const char* Tracer::Intern(const std::string& name) {
-  static std::mutex* mu = new std::mutex;
-  static std::unordered_set<std::string>* table =
-      new std::unordered_set<std::string>;
-  std::lock_guard<std::mutex> lock(*mu);
-  return table->insert(name).first->c_str();
+  InternTable& t = Interned();
+  std::lock_guard<std::mutex> lock(t.mu);
+  return t.names.insert(name).first->c_str();
+}
+
+size_t Tracer::names_interned() const {
+  InternTable& t = Interned();
+  std::lock_guard<std::mutex> lock(t.mu);
+  return t.names.size();
 }
 
 std::string Tracer::DumpJson() const {

@@ -71,8 +71,10 @@ class Tracer {
                   uint64_t begin_ns, uint64_t end_ns);
 
   /// Returns a stable pointer for a dynamic span name (mutex-protected
-  /// insert-only table; keep off hot paths).
+  /// insert-only table; keep off hot paths, and keep the set of names
+  /// bounded — the table never shrinks).
   const char* Intern(const std::string& name);
+  size_t names_interned() const;  ///< distinct Intern names, cumulative
 
   /// Chrome trace_event JSON of every buffered span:
   /// {"displayTimeUnit":"ns","traceEvents":[{"name":...,"cat":...,

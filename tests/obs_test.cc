@@ -430,9 +430,9 @@ TEST_F(TracerTest, DynamicSetBuildsEmitOneSpanPerArtifact) {
   answer_both();
   std::string json = obs::Tracer::Get().DumpJson();
   for (const char* name :
-       {"build:forest-emst", "build:semst@", "build:xemst@", "build:knn@10",
+       {"build:forest-emst", "build:semst", "build:xemst", "build:knn@10",
         "build:cd@10", "build:mst@10", "build:dendro@10"}) {
-    EXPECT_NE(json.find(std::string("\"name\":\"") + name),
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
               std::string::npos)
         << name;
   }
@@ -441,6 +441,34 @@ TEST_F(TracerTest, DynamicSetBuildsEmitOneSpanPerArtifact) {
   // Cache hits build nothing, so they add no build span.
   answer_both();
   EXPECT_EQ(CountOccurrences(obs::Tracer::Get().DumpJson(), build), builds);
+}
+
+TEST_F(TracerTest, DynamicSetChurnDoesNotGrowInternTable) {
+  // Every write retires shard content ids; the EMST tiers' span names
+  // must not carry them, or each traced read would intern new names.
+  DynamicArtifacts<2> dyn;
+  dyn.InsertBatch(SeedSpreaderVarden<2>(400, 5, 2));
+  EngineRequest emst;
+  emst.type = QueryType::kEmst;
+  EngineRequest hdbscan;
+  hdbscan.type = QueryType::kHdbscan;
+  hdbscan.min_pts = 10;
+  auto answer_both = [&] {
+    for (const EngineRequest& req : {emst, hdbscan}) {
+      EngineResponse r;
+      ASSERT_TRUE(dyn.Answer(req, /*allow_build=*/true, &r));
+      ASSERT_TRUE(r.ok) << r.error;
+    }
+  };
+  answer_both();
+  const size_t interned = obs::Tracer::Get().names_interned();
+  for (uint32_t round = 0; round < 6; ++round) {
+    uint32_t first = dyn.InsertBatch(SeedSpreaderVarden<2>(20, 10 + round, 2));
+    ASSERT_EQ(dyn.DeleteBatch({3 * round, 3 * round + 1, first}), size_t{3});
+    answer_both();
+  }
+  EXPECT_GT(dyn.num_shards(), size_t{1});
+  EXPECT_EQ(obs::Tracer::Get().names_interned(), interned);
 }
 
 // --- Obs metrics source ---------------------------------------------------
