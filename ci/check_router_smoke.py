@@ -10,8 +10,9 @@ read fan-out), then a sharded one (dyn/geninsert/insert/delete with
 distributed EMST/HDBSCAN* merges) — and asserts every reply matches the
 reference byte-for-byte after dropping the built=/reused= introspection
 tokens (the router's merged-artifact cache keys legitimately differ from
-a single-node engine's; see README "Multi-node serving"). Invalid queries
-on the sharded set must answer the reference's exact `err` line.
+a single-node engine's; see README "Multi-node serving"). Invalid
+requests, malformed tokens included, must answer the reference's exact
+`err` line.
 
 Usage: check_router_smoke.py --router PORT --reference PORT
 """
@@ -84,15 +85,23 @@ SCRIPT = [
     "slink s 4",
 ]
 
-# Invalid queries on the sharded set. The router validates through the
-# same AnswerQuery (src/engine/artifact_util.h) as a single node, so every
-# reply must be an `err` line identical to the reference, byte for byte.
+# Invalid requests. The router parses with the single node's parser
+# (net::ParseLine) and validates through the same AnswerQuery
+# (src/engine/artifact_util.h), so every reply must be an `err` line
+# identical to the reference, byte for byte. Runs after SCRIPT, so both
+# sets are warm: malformed tokens must not reach a cached answer.
 ERR_SCRIPT = [
     "slink s 0",
     "hdbscan s 0",
     "hdbscan s 100000",
     "clusters s 10 1",
     "emst s eps 0.5",
+    "dbscan s 10 1e400",
+    "dbscan rep 10 1e400",
+    "hdbscan s 10abc",
+    "clusters s 10 -5",
+    "insert s 1 oops",
+    "delete s 3 x",
 ]
 
 

@@ -1,26 +1,23 @@
 // Router-tier verb implementations (see router.h for the architecture and
 // exactness/failure contracts).
 //
-// Response formatting deliberately reuses the single-node format strings
-// (net/protocol.cc): a client sees the same bytes whether it talks to one
-// worker or to a router fronting many — except the built=/reused= keys,
-// which name the router's own merged artifacts.
+// Requests arrive parsed by net::ParseLine, and responses reuse the
+// single-node formatting (net/protocol.cc): a client sees the same bytes
+// whether it talks to one worker or to a router fronting many — except
+// the built=/reused= keys, which name the router's own merged artifacts.
 #include "cluster/router.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string_view>
 
 #include "graph/kruskal.h"
 #include "obs/trace.h"
-#include "obs/verb_counters.h"
 #include "store/manifest.h"
 #include "util/check.h"
 
@@ -29,21 +26,7 @@ namespace cluster {
 
 namespace {
 
-std::string StrPrintf(const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  char buf[512];
-  int n = vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) return {};
-  if (static_cast<size_t>(n) < sizeof buf) return std::string(buf, n);
-  std::string big(static_cast<size_t>(n) + 1, '\0');
-  va_start(ap, fmt);
-  vsnprintf(&big[0], big.size(), fmt, ap);
-  va_end(ap);
-  big.resize(static_cast<size_t>(n));
-  return big;
-}
+using net::StrPrintf;
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(
@@ -55,6 +38,17 @@ uint64_t NowMs() {
 /// Worker subdirectory for worker `w` under a sharded save/load dir.
 std::string WorkerDir(const std::string& dir, size_t w) {
   return dir + "/w" + std::to_string(w);
+}
+
+std::string NoHealthyUpstream(std::string_view verb) {
+  return StrPrintf("err %.*s: no healthy upstream\n",
+                   static_cast<int>(verb.size()), verb.data());
+}
+
+net::WireMessage TextMessage(std::string_view line) {
+  net::WireMessage msg;
+  msg.text = line;
+  return msg;
 }
 
 /// Dense index of a worker-local gid via the slice's ascending-local
@@ -112,13 +106,12 @@ std::shared_ptr<Router::Dataset> Router::FindDataset(const std::string& name) {
 
 // ---- upstream fan-out / forwarding primitives ---------------------------
 
-std::vector<std::string> Router::FanLine(const std::string& line) {
+std::vector<std::string> Router::FanLine(std::string_view line) {
   fanouts_.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::string> replies(pool_.size());
+  net::WireMessage req = TextMessage(line);
   pool_.ForEach([&](size_t i, Upstream& up) {
     if (!up.healthy()) return;
-    net::WireMessage req;
-    req.text = line;
     net::WireMessage reply;
     std::string raw;
     if (up.Roundtrip(req, &reply, &raw)) replies[i] = raw;
@@ -126,31 +119,15 @@ std::vector<std::string> Router::FanLine(const std::string& line) {
   return replies;
 }
 
-std::string Router::Broadcast(const std::string& line,
-                              const std::string& verb) {
+std::string Router::Broadcast(std::string_view line, std::string_view verb) {
   for (const std::string& r : FanLine(line)) {
     if (!r.empty()) return r;
   }
-  return StrPrintf("err %s: no healthy upstream\n", verb.c_str());
+  return NoHealthyUpstream(verb);
 }
 
-std::string Router::ForwardRead(const std::string& line,
-                                const std::string& verb) {
-  forwards_.fetch_add(1, std::memory_order_relaxed);
-  net::WireMessage req;
-  req.text = line;
-  for (size_t attempt = 0; attempt < pool_.size(); ++attempt) {
-    Upstream* up = pool_.NextHealthy();
-    if (up == nullptr) break;
-    net::WireMessage reply;
-    std::string raw;
-    if (up->Roundtrip(req, &reply, &raw)) return raw;
-  }
-  return StrPrintf("err %s: no healthy upstream\n", verb.c_str());
-}
-
-std::string Router::ForwardFrame(const net::WireMessage& req,
-                                 const std::string& verb) {
+std::string Router::Forward(const net::WireMessage& req,
+                            std::string_view verb) {
   forwards_.fetch_add(1, std::memory_order_relaxed);
   for (size_t attempt = 0; attempt < pool_.size(); ++attempt) {
     Upstream* up = pool_.NextHealthy();
@@ -159,7 +136,25 @@ std::string Router::ForwardFrame(const net::WireMessage& req,
     std::string raw;
     if (up->Roundtrip(req, &reply, &raw)) return raw;
   }
-  return StrPrintf("err %s: no healthy upstream\n", verb.c_str());
+  return NoHealthyUpstream(verb);
+}
+
+std::string Router::ForwardMutation(const Dataset* ds,
+                                    const net::WireMessage& req,
+                                    std::string_view verb,
+                                    const std::string& name) {
+  if (ds != nullptr && ds->mutable_on_workers) {
+    return StrPrintf(
+        "err %.*s %s: replicated dataset is read-only via the router\n",
+        static_cast<int>(verb.size()), verb.data(), name.c_str());
+  }
+  return Forward(req, verb);
+}
+
+void Router::Register(std::shared_ptr<Dataset> ds) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  ds->order = next_order_++;
+  datasets_[ds->name] = std::move(ds);
 }
 
 // ---- sharded mutations --------------------------------------------------
@@ -416,11 +411,7 @@ std::string Router::ShardedLoad(const std::string& name,
   ds->epoch = 1;
   ds->last_save_dir = dir;
   ds->dirty_since_save = false;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    ds->order = next_order_++;
-    datasets_[name] = ds;
-  }
+  Register(ds);
   return StrPrintf("ok load %s dim=%d n=%zu warm\n", name.c_str(), ds->dim,
                    ds->live_n);
 }
@@ -917,561 +908,272 @@ void Router::RegisterMetrics(obs::Observability& obs) {
   });
 }
 
-// ---- dispatch -----------------------------------------------------------
+// ---- dispatch ----
 
 net::ProtocolResult Router::Handle(const net::WireMessage& msg,
                                    const net::ProtocolOptions& opts) {
-  if (msg.binary) return HandleFrame(msg.opcode, msg.payload, opts);
-  // Same trace bookkeeping as ProtocolSession::HandleLine: standalone
-  // front-ends (tests driving the router in-process) mint ids here; the
-  // TCP server installs a context before dispatch, making this a no-op.
-  obs::Tracer& tracer = obs::Tracer::Get();
-  if (obs::CurrentTraceId() != 0) return DispatchLine(msg.text, opts);
-  std::string stripped = msg.text;
-  uint64_t propagated = net::ExtractTraceSuffix(&stripped);
-  if (propagated == 0 && !tracer.enabled()) return DispatchLine(stripped, opts);
-  obs::TraceContext ctx(propagated ? propagated : tracer.MintTraceId());
-  size_t b = stripped.find_first_not_of(" \t");
-  size_t e = stripped.find_first_of(" \t", b);
-  std::string_view verb =
-      b == std::string::npos
-          ? std::string_view()
-          : std::string_view(stripped.data() + b,
-                             (e == std::string::npos ? stripped.size() : e) -
-                                 b);
-  obs::Span span(
-      obs::VerbCounters::kRequestSpanNames[obs::VerbCounters::IndexOf(verb)],
-      "net");
-  return DispatchLine(stripped, opts);
+  if (msg.binary) return HandleFrame(msg.opcode, msg.payload);
+  return net::ExecuteLine(msg.text, [&](const net::Command& cmd) {
+    return Execute(cmd, opts);
+  });
 }
 
-net::ProtocolResult Router::DispatchLine(const std::string& line,
-                                         const net::ProtocolOptions& opts) {
+std::string Router::CreateSharded(const std::string& name, int dim,
+                                  std::shared_ptr<Dataset>* created) {
+  if (pool_.HealthyCount() != pool_.size()) {
+    return StrPrintf(
+        "err dyn %s: need all %zu workers healthy to create a sharded "
+        "dataset\n",
+        name.c_str(), pool_.size());
+  }
+  for (const std::string& r : FanLine("dyn " + name + ' ' +
+                                      std::to_string(dim))) {
+    if (r.rfind("ok dyn ", 0) != 0) {
+      return r.empty() ? StrPrintf("err dyn %s: a worker dropped out during "
+                                   "creation\n",
+                                   name.c_str())
+                       : r;
+    }
+  }
+  auto ds = std::make_shared<Dataset>();
+  ds->mode = Dataset::Mode::kSharded;
+  ds->name = name;
+  ds->dim = dim;
+  ds->map.workers = static_cast<uint32_t>(pool_.size());
+  Register(ds);
+  *created = std::move(ds);
+  return StrPrintf("ok dyn %s dim=%d\n", name.c_str(), dim);
+}
+
+EngineResponse Router::RunSharded(Dataset& ds, const EngineRequest& req) {
+  merges_.fetch_add(1, std::memory_order_relaxed);
+  EngineResponse r;
+  std::lock_guard<std::mutex> lock(ds.mu);
+  // The whole merged pipeline (kd-tree builds, cross traversals, Kruskal,
+  // dendrograms) issues parallel scheduler work, so it runs inside a
+  // worker group like any engine build.
+  executor_.RunBuild([&] { AnswerSharded(ds, req, &r); });
+  return r;
+}
+
+net::ProtocolResult Router::Execute(const net::Command& cmd,
+                                    const net::ProtocolOptions& opts) {
+  using Mode = Dataset::Mode;
   net::ProtocolResult res;
-  if (line.empty() || line[0] == '#') return res;
-  std::istringstream ss(line);
-  std::string cmd;
-  ss >> cmd;
-  try {
-    if (cmd == "quit" || cmd == "exit") {
-      res.quit = true;
-    } else if (cmd == "help") {
-      res.out = net::ProtocolHelpText();
-    } else if (cmd == "hello") {
-      res.out = net::HelloLine("router");
-    } else if (cmd == "stats") {
-      res.out = "ok stats ";
+  std::string& out = res.out;
+  const std::string& name = cmd.name;
+  switch (cmd.verb) {
+    case net::VerbId("stats"):
+      out = "ok stats ";
       if (opts.stats_source) {
-        res.out += opts.stats_source->Stats().Format();
-        res.out += ' ';
+        out += opts.stats_source->Stats().Format();
+        out += ' ';
       }
-      res.out += RouterCountersText();
-      res.out += ' ';
-      res.out += executor_.stats().Format();
-      res.out += '\n';
-    } else if (cmd == "cluster") {
-      res.out = ClusterStatsText();
-    } else if (cmd == "list") {
+      out += RouterCountersText();
+      out += ' ';
+      out += executor_.stats().Format();
+      out += '\n';
+      break;
+    case net::VerbId("cluster"):
+      out = ClusterStatsText();
+      break;
+    case net::VerbId("list"): {
       std::shared_lock<std::shared_mutex> lock(mu_);
       for (const auto& kv : datasets_) {
         const Dataset& ds = *kv.second;
-        bool sharded = ds.mode == Dataset::Mode::kSharded;
-        res.out += StrPrintf("dataset %s dim=%d n=%zu mode=%s\n",
-                             kv.first.c_str(), ds.dim,
-                             sharded ? ds.live_n : ds.static_n,
-                             sharded ? "sharded" : "replicated");
+        bool sharded = ds.mode == Mode::kSharded;
+        out += StrPrintf("dataset %s dim=%d n=%zu mode=%s\n", kv.first.c_str(),
+                         ds.dim, sharded ? ds.live_n : ds.static_n,
+                         sharded ? "sharded" : "replicated");
       }
-      res.out += "ok list\n";
-    } else if (cmd == "gen") {
-      std::string name, kind;
-      int dim = 0;
-      size_t n = 0;
-      ss >> name >> dim >> kind >> n;
-      std::string reply = Broadcast(line, cmd);
-      if (reply.rfind("ok gen ", 0) == 0 && !name.empty()) {
-        auto ds = std::make_shared<Dataset>();
-        ds->mode = Dataset::Mode::kReplicated;
-        ds->name = name;
-        ds->dim = dim;
-        ds->static_n = n;
-        ds->seed_line = line;
-        std::unique_lock<std::shared_mutex> lock(mu_);
-        ds->order = next_order_++;
-        datasets_[name] = ds;
+      out += "ok list\n";
+      break;
+    }
+    case net::VerbId("gen"):
+    case net::VerbId("load"): {
+      bool snap = cmd.verb == net::VerbId("load") && cmd.kind == "snap";
+      if (snap && std::ifstream(cmd.path + "/cluster.map").good()) {
+        out = ShardedLoad(name, cmd.path);
+        break;
       }
-      res.out = reply;
-    } else if (cmd == "load") {
-      std::string name, fmt, path;
-      ss >> name >> fmt >> path;
-      if (fmt == "snap" &&
-          std::ifstream(path + "/cluster.map").good()) {
-        res.out = ShardedLoad(name, path);
-        return res;
-      }
-      std::string reply = Broadcast(line, cmd);
+      out = Broadcast(cmd.line, cmd.verb_text);
       int dim = 0;
       unsigned long n = 0;
-      if (sscanf(reply.c_str(), "ok load %*s dim=%d n=%lu", &dim, &n) == 2 &&
-          !name.empty()) {
+      if (sscanf(out.c_str(), "ok %*s %*s dim=%d n=%lu", &dim, &n) == 2) {
         auto ds = std::make_shared<Dataset>();
-        ds->mode = Dataset::Mode::kReplicated;
+        ds->mode = Mode::kReplicated;
         ds->name = name;
         ds->dim = dim;
         ds->static_n = n;
-        ds->seed_line = line;
+        ds->seed_line = cmd.line;
         // A snapshot may hold a batch-dynamic dataset; forwarding a
         // mutation to one replica would silently desynchronize the rest,
         // so such datasets are read-only through the router.
-        ds->mutable_on_workers = fmt == "snap";
-        std::unique_lock<std::shared_mutex> lock(mu_);
-        ds->order = next_order_++;
-        datasets_[name] = ds;
+        ds->mutable_on_workers = snap;
+        Register(std::move(ds));
       }
-      res.out = reply;
-    } else if (cmd == "dyn") {
-      std::string name;
-      int dim = 0;
-      ss >> name >> dim;
-      if (ss.fail() || name.empty()) {
-        res.out = "err dyn: usage: dyn <name> <dim>\n";
-        return res;
-      }
-      if (pool_.HealthyCount() != pool_.size()) {
-        res.out = StrPrintf(
-            "err dyn %s: need all %zu workers healthy to create a sharded "
-            "dataset\n",
-            name.c_str(), pool_.size());
-        return res;
-      }
-      std::vector<std::string> replies = FanLine(line);
-      for (const std::string& r : replies) {
-        if (r.rfind("ok dyn ", 0) != 0) {
-          res.out = r.empty()
-                        ? StrPrintf("err dyn %s: a worker dropped out during "
-                                    "creation\n",
-                                    name.c_str())
-                        : r;
-          return res;
-        }
-      }
-      auto ds = std::make_shared<Dataset>();
-      ds->mode = Dataset::Mode::kSharded;
-      ds->name = name;
-      ds->dim = dim;
-      ds->map.workers = static_cast<uint32_t>(pool_.size());
-      {
-        std::unique_lock<std::shared_mutex> lock(mu_);
-        ds->order = next_order_++;
-        datasets_[name] = ds;
-      }
-      res.out = StrPrintf("ok dyn %s dim=%d\n", name.c_str(), dim);
-    } else if (cmd == "save") {
-      std::string name, dir;
-      ss >> name >> dir;
-      if (name.empty() || dir.empty()) {
-        res.out = "err save: usage: save <name> <dir>\n";
-        return res;
-      }
+      break;
+    }
+    case net::VerbId("dyn"): {
+      std::shared_ptr<Dataset> ds;
+      out = CreateSharded(name, cmd.dim, &ds);
+      break;
+    }
+    case net::VerbId("save"): {
       auto ds = FindDataset(name);
-      if (ds && ds->mode == Dataset::Mode::kSharded) {
+      if (ds && ds->mode == Mode::kSharded) {
         std::lock_guard<std::mutex> lock(ds->mu);
-        res.out = ShardedSave(*ds, name, dir);
+        out = ShardedSave(*ds, name, cmd.path);
       } else {
         // Replicated (or unknown — the worker answers with the exact
         // single-node error): any one replica holds the full dataset.
-        res.out = ForwardRead(line, cmd);
+        out = Forward(TextMessage(cmd.line), cmd.verb_text);
       }
-    } else if (cmd == "insert") {
-      std::string name;
-      ss >> name;
+      break;
+    }
+    case net::VerbId("insert"): {
       auto ds = FindDataset(name);
-      if (!ds) {
-        res.out = ForwardRead(line, cmd);
-        return res;
+      if (!ds || ds->mode == Mode::kReplicated) {
+        out = ForwardMutation(ds.get(), TextMessage(cmd.line), cmd.verb_text,
+                              name);
+        break;
       }
-      if (ds->mode == Dataset::Mode::kReplicated) {
-        if (ds->mutable_on_workers) {
-          res.out = StrPrintf(
-              "err insert %s: replicated dataset is read-only via the "
-              "router\n",
-              name.c_str());
-        } else {
-          // Static replicas refuse mutations with the single-node
-          // immutable-dataset error and stay unchanged — forward for the
-          // exact bytes.
-          res.out = ForwardRead(line, cmd);
-        }
-        return res;
+      std::vector<std::vector<double>> rows;
+      out = net::InsertRows(cmd, ds->dim, &rows);
+      if (out.empty()) {
+        std::lock_guard<std::mutex> lock(ds->mu);
+        out = ShardedInsert(*ds, name, rows, "insert");
       }
-      int dim = ds->dim;
-      std::vector<double> vals;
-      double v;
-      while (ss >> v) vals.push_back(v);
-      if (!ss.eof()) {
-        res.out = StrPrintf("err insert %s: malformed coordinate\n",
-                            name.c_str());
-        return res;
-      }
-      if (vals.empty() || vals.size() % static_cast<size_t>(dim) != 0) {
-        res.out = StrPrintf(
-            "err insert %s: need a multiple of %d coordinates\n", name.c_str(),
-            dim);
-        return res;
-      }
-      std::vector<std::vector<double>> rows(vals.size() / dim);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].assign(vals.begin() + i * dim, vals.begin() + (i + 1) * dim);
-      }
-      std::lock_guard<std::mutex> lock(ds->mu);
-      res.out = ShardedInsert(*ds, name, rows, "insert");
-    } else if (cmd == "geninsert") {
-      std::string name, kind;
-      int dim = 0;
-      size_t n = 0;
-      uint64_t seed = 1;
-      ss >> name >> dim >> kind >> n;
-      if (!(ss >> seed)) seed = 1;
-      if (name.empty() || n == 0 || !DatasetRegistry::SupportedDim(dim)) {
-        res.out = "err geninsert: usage/unsupported dim\n";
-        return res;
-      }
+      break;
+    }
+    case net::VerbId("geninsert"): {
       auto ds = FindDataset(name);
-      if (ds && ds->mode == Dataset::Mode::kReplicated) {
-        res.out = ds->mutable_on_workers
-                      ? StrPrintf("err geninsert %s: replicated dataset is "
-                                  "read-only via the router\n",
-                                  name.c_str())
-                      : ForwardRead(line, cmd);
-        return res;
+      if (ds && ds->mode == Mode::kReplicated) {
+        out = ForwardMutation(ds.get(), TextMessage(cmd.line), cmd.verb_text,
+                              name);
+        break;
       }
-      if (ds && ds->dim != dim) {
-        res.out = StrPrintf("err geninsert %s: dim %d != dataset dim %d\n",
-                            name.c_str(), dim, ds->dim);
-        return res;
+      if (ds && ds->dim != cmd.dim) {
+        out = StrPrintf("err geninsert %s: dim %d != dataset dim %d\n",
+                        name.c_str(), cmd.dim, ds->dim);
+        break;
       }
       // The generators are seed-deterministic, so running them on the
       // router yields bit-identical rows to a single-node `geninsert`;
       // shipping them as binary frames preserves every double exactly.
-      std::vector<std::vector<double>> rows = executor_.RunBuild(
-          [&] { return net::GenerateRows(dim, kind, n, seed); });
-      if (rows.empty()) {
-        res.out = StrPrintf("err geninsert: unknown kind %s\n", kind.c_str());
-        return res;
-      }
+      std::vector<std::vector<double>> rows = executor_.RunBuild([&] {
+        return net::GenerateRows(cmd.dim, cmd.kind, cmd.n, cmd.seed);
+      });
       if (!ds) {
-        net::ProtocolResult create =
-            DispatchLine("dyn " + name + ' ' + std::to_string(dim), opts);
-        if (create.out.rfind("ok dyn ", 0) != 0) {
-          res.out = create.out;
-          return res;
-        }
-        ds = FindDataset(name);
-        if (!ds) {
-          res.out = StrPrintf("err geninsert %s: creation raced with a "
-                              "drop\n",
-                              name.c_str());
-          return res;
-        }
+        out = CreateSharded(name, cmd.dim, &ds);
+        if (!ds) break;
       }
       std::lock_guard<std::mutex> lock(ds->mu);
-      res.out = ShardedInsert(*ds, name, rows, "geninsert");
-    } else if (cmd == "delete") {
-      std::string name;
-      ss >> name;
-      std::vector<uint32_t> gids;
-      uint32_t gid;
-      while (ss >> gid) gids.push_back(gid);
-      if (!ss.eof()) {
-        res.out = StrPrintf("err delete %s: malformed gid\n", name.c_str());
-        return res;
-      }
-      if (name.empty() || gids.empty()) {
-        res.out = "err delete: usage: delete <name> <gid> [gid ...]\n";
-        return res;
-      }
+      out = ShardedInsert(*ds, name, rows, "geninsert");
+      break;
+    }
+    case net::VerbId("delete"): {
       auto ds = FindDataset(name);
-      if (!ds) {
-        res.out = ForwardRead(line, cmd);
-      } else if (ds->mode == Dataset::Mode::kReplicated) {
-        res.out = ds->mutable_on_workers
-                      ? StrPrintf("err delete %s: replicated dataset is "
-                                  "read-only via the router\n",
-                                  name.c_str())
-                      : ForwardRead(line, cmd);
+      if (!ds || ds->mode == Mode::kReplicated) {
+        out = ForwardMutation(ds.get(), TextMessage(cmd.line), cmd.verb_text,
+                              name);
       } else {
         std::lock_guard<std::mutex> lock(ds->mu);
-        res.out = ShardedDelete(*ds, name, gids);
+        out = ShardedDelete(*ds, name, cmd.gids);
       }
-    } else if (cmd == "drop") {
-      std::string name;
-      ss >> name;
-      std::string reply = Broadcast(line, cmd);
-      {
-        std::unique_lock<std::shared_mutex> lock(mu_);
-        datasets_.erase(name);
-      }
-      res.out = reply;
-    } else if (cmd == "emst" || cmd == "slink" || cmd == "hdbscan" ||
-               cmd == "dbscan" || cmd == "reach" || cmd == "clusters") {
-      EngineRequest req;
-      ss >> req.dataset;
-      if (cmd == "emst") {
-        req.type = QueryType::kEmst;
-        std::string sub;
-        if (ss >> sub) {
-          if (sub != "eps" || !(ss >> req.emst_eps) || req.emst_eps < 0) {
-            res.out = "err emst: usage: emst <name> [eps <e>]\n";
-            return res;
-          }
-        } else {
-          ss.clear();
-        }
-      } else if (cmd == "slink") {
-        req.type = QueryType::kSingleLinkage;
-        ss >> req.k;
-      } else if (cmd == "hdbscan") {
-        req.type = QueryType::kHdbscan;
-        ss >> req.min_pts;
-      } else if (cmd == "dbscan") {
-        req.type = QueryType::kDbscanStarAt;
-        ss >> req.min_pts >> req.eps;
-      } else if (cmd == "reach") {
-        req.type = QueryType::kReachability;
-        ss >> req.min_pts;
-      } else {
-        req.type = QueryType::kStableClusters;
-        ss >> req.min_pts >> req.min_cluster_size;
-      }
-      if (ss.fail() || req.dataset.empty()) {
-        res.out = StrPrintf(
-            "err %s: missing or malformed arguments (try help)\n",
-            cmd.c_str());
-        return res;
-      }
+      break;
+    }
+    case net::VerbId("drop"): {
+      out = Broadcast(cmd.line, cmd.verb_text);
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      datasets_.erase(name);
+      break;
+    }
+    case net::VerbId("emst"):
+    case net::VerbId("slink"):
+    case net::VerbId("hdbscan"):
+    case net::VerbId("dbscan"):
+    case net::VerbId("reach"):
+    case net::VerbId("clusters"): {
+      const EngineRequest& req = cmd.query;
       auto ds = FindDataset(req.dataset);
-      if (ds && ds->mode == Dataset::Mode::kSharded) {
-        merges_.fetch_add(1, std::memory_order_relaxed);
-        uint64_t t0 = obs::NowNs();
-        EngineResponse r;
-        {
-          std::lock_guard<std::mutex> lock(ds->mu);
-          // The whole merged pipeline (kd-tree builds, cross traversals,
-          // Kruskal, dendrograms) issues parallel scheduler work, so it
-          // runs inside a worker group like any engine build.
-          executor_.RunBuild([&] {
-            AnswerSharded(*ds, req, &r);
-            return 0;
-          });
-        }
-        r.seconds = static_cast<double>(obs::NowNs() - t0) * 1e-9;
-        res.out = net::FormatQueryResponse(cmd, req.dataset, r,
-                                           opts.show_timing);
-      } else {
+      if (!ds || ds->mode == Mode::kReplicated) {
         // Replicated (round-robin across replicas) or unknown (the worker
         // answers with the exact single-node unknown-dataset error).
-        res.out = ForwardRead(line, cmd);
+        out = Forward(TextMessage(cmd.line), cmd.verb_text);
+        break;
       }
-    } else if (cmd == "metrics") {
-      std::string mode;
-      ss >> mode;
-      if (opts.obs == nullptr) {
-        res.out = "err metrics: no metrics registry in this front-end\n";
-      } else if (mode == "json") {
-        res.out = opts.obs->metrics.Json();
-        res.out += '\n';
-      } else if (!mode.empty()) {
-        res.out = "err metrics: usage: metrics [json]\n";
-      } else {
-        res.out = opts.obs->metrics.PrometheusText();
-        res.out += "ok metrics\n";
-      }
-    } else if (cmd == "trace") {
-      std::string sub;
-      ss >> sub;
-      obs::Tracer& tracer = obs::Tracer::Get();
-      if (sub == "on") {
-        tracer.Enable();
-        res.out = "ok trace on\n";
-      } else if (sub == "off") {
-        tracer.Disable();
-        res.out = "ok trace off\n";
-      } else if (sub == "status") {
-        res.out = StrPrintf(
-            "ok trace status enabled=%d spans=%llu dropped=%llu\n",
-            tracer.enabled() ? 1 : 0,
-            static_cast<unsigned long long>(tracer.spans_recorded()),
-            static_cast<unsigned long long>(tracer.spans_dropped()));
-      } else if (sub == "clear") {
-        tracer.Clear();
-        res.out = "ok trace clear\n";
-      } else if (sub == "dump") {
-        std::string path;
-        ss >> path;
-        if (path.empty()) {
-          res.out = "err trace: usage: trace dump <file>\n";
-        } else {
-          size_t spans = 0;
-          if (tracer.DumpJsonToFile(path, &spans)) {
-            res.out = StrPrintf("ok trace dump %s spans=%zu\n", path.c_str(),
-                                spans);
-          } else {
-            res.out = StrPrintf("err trace dump %s: cannot write\n",
-                                path.c_str());
-          }
-        }
-      } else {
-        res.out = "err trace: usage: trace on|off|status|clear|dump <file>\n";
-      }
-    } else if (cmd == "slowlog") {
-      std::string sub;
-      ss >> sub;
-      if (opts.obs == nullptr) {
-        res.out = "err slowlog: no slow-query log in this front-end\n";
-      } else if (sub == "clear") {
-        opts.obs->slowlog.Clear();
-        res.out = "ok slowlog clear\n";
-      } else if (sub == "threshold") {
-        uint64_t us = 0;
-        if (!(ss >> us)) {
-          res.out = "err slowlog: usage: slowlog threshold <us>\n";
-        } else {
-          opts.obs->slowlog.set_threshold_us(us);
-          res.out = StrPrintf("ok slowlog threshold_us=%llu\n",
-                              static_cast<unsigned long long>(us));
-        }
-      } else if (!sub.empty()) {
-        res.out = "err slowlog: usage: slowlog [clear|threshold <us>]\n";
-      } else {
-        std::vector<obs::SlowLogRecord> entries = opts.obs->slowlog.Entries();
-        for (const obs::SlowLogRecord& e : entries) {
-          res.out += e.Format();
-          res.out += '\n';
-        }
-        res.out += StrPrintf(
-            "ok slowlog n=%zu threshold_us=%llu\n", entries.size(),
-            static_cast<unsigned long long>(
-                opts.obs->slowlog.threshold_us()));
-      }
-    } else {
-      res.out = StrPrintf("err unknown command: %s (try help)\n", cmd.c_str());
+      uint64_t t0 = obs::NowNs();
+      EngineResponse r = RunSharded(*ds, req);
+      r.seconds = static_cast<double>(obs::NowNs() - t0) * 1e-9;
+      out = net::FormatQueryResponse(std::string(cmd.verb_text), req.dataset,
+                                     r, opts.show_timing);
+      break;
     }
-  } catch (const std::exception& e) {
-    res.out = StrPrintf("err %s: %s\n", cmd.c_str(), e.what());
+    default:
+      return net::HandleCommonVerb(cmd, opts, "router");
   }
   return res;
 }
 
 net::ProtocolResult Router::HandleFrame(uint8_t opcode,
-                                        const std::string& payload,
-                                        const net::ProtocolOptions& opts) {
+                                        const std::string& payload) {
+  using Mode = Dataset::Mode;
   net::ProtocolResult res;
+  std::string& out = res.out;
   try {
-    net::PayloadReader rd(payload);
     net::WireMessage fwd;
     fwd.binary = true;
     fwd.opcode = opcode;
     fwd.payload = payload;
     if (opcode == net::kOpInsertPoints) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      int dim = static_cast<int>(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || name.empty() || dim <= 0 || count == 0 ||
-          rd.remaining() !=
-              static_cast<size_t>(count) * dim * sizeof(double)) {
-        res.out = "err insert: malformed frame payload\n";
-        return res;
-      }
-      auto ds = FindDataset(name);
-      if (!ds) {
-        res.out = ForwardFrame(fwd, "insert");
-        return res;
-      }
-      if (ds->mode == Dataset::Mode::kReplicated) {
-        res.out = ds->mutable_on_workers
-                      ? StrPrintf("err insert %s: replicated dataset is "
-                                  "read-only via the router\n",
-                                  name.c_str())
-                      : ForwardFrame(fwd, "insert");
-        return res;
-      }
-      if (ds->dim != dim) {
-        res.out = StrPrintf("err insert %s: frame dim %d != dataset dim %d\n",
-                            name.c_str(), dim, ds->dim);
-        return res;
-      }
-      std::vector<std::vector<double>> rows(count, std::vector<double>(dim));
-      for (auto& row : rows) {
-        for (double& v : row) v = rd.GetF64();
-      }
-      std::lock_guard<std::mutex> lock(ds->mu);
-      res.out = ShardedInsert(*ds, name, rows, "insert");
-    } else if (opcode == net::kOpGetLabels) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint8_t kind = rd.GetU8();
-      EngineRequest req;
-      req.dataset = name;
-      req.min_pts = static_cast<int>(rd.GetU32());
-      if (kind == 0) {
-        req.type = QueryType::kDbscanStarAt;
-        req.eps = rd.GetF64();
+      net::InsertFrame f;
+      out = net::DecodeInsertFrame(payload, &f);
+      if (!out.empty()) return res;
+      auto ds = FindDataset(f.name);
+      if (!ds || ds->mode == Mode::kReplicated) {
+        out = ForwardMutation(ds.get(), fwd, "insert", f.name);
+      } else if (ds->dim != f.dim) {
+        out = StrPrintf("err insert %s: frame dim %d != dataset dim %d\n",
+                        f.name.c_str(), f.dim, ds->dim);
       } else {
-        req.type = QueryType::kStableClusters;
-        req.min_cluster_size = static_cast<size_t>(rd.GetU64());
-      }
-      if (!rd.ok() || name.empty() || kind > 1 || rd.remaining() != 0) {
-        res.out = "err labels: malformed frame payload\n";
-        return res;
-      }
-      auto ds = FindDataset(name);
-      if (!ds || ds->mode == Dataset::Mode::kReplicated) {
-        res.out = ForwardFrame(fwd, "labels");
-        return res;
-      }
-      merges_.fetch_add(1, std::memory_order_relaxed);
-      EngineResponse r;
-      {
         std::lock_guard<std::mutex> lock(ds->mu);
-        executor_.RunBuild([&] {
-          AnswerSharded(*ds, req, &r);
-          return 0;
-        });
+        out = ShardedInsert(*ds, f.name, f.rows, "insert");
       }
-      if (!r.ok) {
-        res.out = StrPrintf("err labels %s: %s\n", name.c_str(),
-                            r.error.c_str());
+    } else if (opcode == net::kOpGetLabels) {
+      EngineRequest req;
+      out = net::DecodeLabelsFrame(payload, &req);
+      if (!out.empty()) return res;
+      auto ds = FindDataset(req.dataset);
+      if (!ds || ds->mode == Mode::kReplicated) {
+        out = Forward(fwd, "labels");
         return res;
       }
-      std::string reply;
-      reply.reserve(4 + r.labels.size() * 4);
-      net::PutU32(&reply, static_cast<uint32_t>(r.labels.size()));
-      for (int32_t l : r.labels) {
-        net::PutU32(&reply, static_cast<uint32_t>(l));
-      }
-      res.out = net::EncodeFrame(net::kOpLabelsReply, reply);
+      EngineResponse r = RunSharded(*ds, req);
+      out = r.ok ? net::EncodeLabelsReply(r.labels)
+                 : StrPrintf("err labels %s: %s\n", req.dataset.c_str(),
+                             r.error.c_str());
     } else if (opcode == net::kOpKnnQuery) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint32_t k = rd.GetU32();
-      int qdim = static_cast<int>(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      bool well_formed =
-          rd.ok() && !name.empty() &&
-          rd.remaining() ==
-              static_cast<size_t>(count) * qdim * sizeof(double);
-      auto ds = well_formed ? FindDataset(name) : nullptr;
-      if (!ds || ds->mode == Dataset::Mode::kReplicated) {
-        res.out = ForwardFrame(fwd, "knn");
+      net::KnnFrame f;
+      out = net::DecodeKnnFrame(payload, &f);
+      if (!out.empty()) return res;
+      const std::string& name = f.name;
+      uint32_t count = f.count;
+      uint32_t k = f.k;
+      auto ds = FindDataset(name);
+      if (!ds || ds->mode == Mode::kReplicated) {
+        out = Forward(fwd, "knn");
         return res;
       }
       std::lock_guard<std::mutex> lock(ds->mu);
       if (!ds->degraded.empty()) {
-        res.out = StrPrintf("err knn %s: %s\n", name.c_str(),
-                            ds->degraded.c_str());
+        out = StrPrintf("err knn %s: %s\n", name.c_str(), ds->degraded.c_str());
         return res;
       }
       if (ds->live_n == 0) {
         // Every worker holds the (empty) dataset; any one answers exactly
         // what a single node would.
-        res.out = ForwardFrame(fwd, "knn");
+        out = Forward(fwd, "knn");
         return res;
       }
       // The client payload is already in worker form, so the identical
@@ -1485,8 +1187,8 @@ net::ProtocolResult Router::HandleFrame(uint8_t opcode,
       }
       for (size_t w = 0; w < pool_.size(); ++w) {
         if (live_per[w] != 0 && !pool_.at(w).healthy()) {
-          res.out = StrPrintf("err knn %s: worker %s is unhealthy\n",
-                              name.c_str(), pool_.at(w).addr().c_str());
+          out = StrPrintf("err knn %s: worker %s is unhealthy\n", name.c_str(),
+                          pool_.at(w).addr().c_str());
           return res;
         }
       }
@@ -1531,42 +1233,41 @@ net::ProtocolResult Router::HandleFrame(uint8_t opcode,
       });
       for (const std::string& e : errs) {
         if (!e.empty()) {
-          res.out = e;
+          out = e;
           return res;
         }
       }
       std::vector<double> merged_rows;
       executor_.RunBuild([&] {
         merged_rows = MergeKnnRows(count, k, worker_rows);
-        return 0;
       });
       std::string reply;
       reply.reserve(8 + merged_rows.size() * sizeof(double));
       net::PutU32(&reply, count);
       net::PutU32(&reply, k);
       for (double v : merged_rows) net::PutF64(&reply, v);
-      res.out = net::EncodeFrame(net::kOpKnnReply, reply);
+      out = net::EncodeFrame(net::kOpKnnReply, reply);
     } else if (opcode == net::kOpExportPoints || opcode == net::kOpExportMst ||
                opcode == net::kOpShardMrMst) {
+      net::PayloadReader rd(payload);
       std::string name = rd.GetBytes(rd.GetU16());
       const char* what = opcode == net::kOpShardMrMst ? "mrmst" : "export";
       auto ds = rd.ok() && !name.empty() ? FindDataset(name) : nullptr;
-      if (ds && ds->mode == Dataset::Mode::kSharded) {
+      if (ds && ds->mode == Mode::kSharded) {
         // The export surface exists for router→worker fan-out; a sharded
         // dataset has no single worker that could answer it.
-        res.out = StrPrintf(
+        out = StrPrintf(
             "err %s %s: not supported on sharded datasets via the router\n",
             what, name.c_str());
       } else {
-        res.out = ForwardFrame(fwd, what);
+        out = Forward(fwd, what);
       }
     } else {
-      res.out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);
+      out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);
     }
   } catch (const std::exception& e) {
-    res.out = StrPrintf("err frame: %s\n", e.what());
+    out = StrPrintf("err frame: %s\n", e.what());
   }
-  (void)opts;
   return res;
 }
 

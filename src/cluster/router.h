@@ -2,8 +2,12 @@
 //
 // A Router fronts N parhc_netserver workers and speaks the same wire
 // protocol (net/protocol.h + net/frame.h) on both sides, so any client of
-// a single-node server can point at a router unchanged. Datasets live in
-// one of two modes:
+// a single-node server can point at a router unchanged. It parses every
+// request with the single node's parser (net::ParseLine and the
+// net::Decode*Frame functions) and answers the verbs both tiers serve
+// alike through net::HandleCommonVerb, so a malformed request gets the
+// single node's err line; only execution is the router's own. Datasets
+// live in one of two modes:
 //
 //  * Replicated (created by `gen` / `load`): the creation line is
 //    broadcast to every worker — generators and loaders are deterministic,
@@ -50,6 +54,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -151,17 +156,31 @@ class Router {
   };
 
   // -- verb handlers (router.cc) --
-  net::ProtocolResult DispatchLine(const std::string& line,
-                                   const net::ProtocolOptions& opts);
-  net::ProtocolResult HandleFrame(uint8_t opcode, const std::string& payload,
-                                  const net::ProtocolOptions& opts);
+  /// Executes one parsed text request (net::ParseLine).
+  net::ProtocolResult Execute(const net::Command& cmd,
+                              const net::ProtocolOptions& opts);
+  net::ProtocolResult HandleFrame(uint8_t opcode, const std::string& payload);
   /// Sends `line` to every healthy upstream; replies[i] holds worker i's
   /// raw reply bytes ("" for skipped or failed workers).
-  std::vector<std::string> FanLine(const std::string& line);
-  std::string Broadcast(const std::string& line, const std::string& verb);
-  std::string ForwardRead(const std::string& line, const std::string& verb);
-  std::string ForwardFrame(const net::WireMessage& req,
-                           const std::string& verb);
+  std::vector<std::string> FanLine(std::string_view line);
+  std::string Broadcast(std::string_view line, std::string_view verb);
+  /// Sends `req` to the next healthy upstream and returns its raw reply.
+  std::string Forward(const net::WireMessage& req, std::string_view verb);
+  /// A mutation of an unknown or replicated dataset: replicas that a
+  /// snapshot load may have made batch-dynamic refuse it (one replica
+  /// would diverge); otherwise one worker answers with the exact
+  /// single-node reply (unknown dataset, or the immutable-dataset error
+  /// that leaves static replicas unchanged).
+  std::string ForwardMutation(const Dataset* ds, const net::WireMessage& req,
+                              std::string_view verb, const std::string& name);
+  /// Adds `ds` under its name, next in creation (re-seed replay) order.
+  void Register(std::shared_ptr<Dataset> ds);
+  /// The `dyn` step: creates sharded dataset `name` on every worker.
+  /// Returns the reply line and, on success, sets *created.
+  std::string CreateSharded(const std::string& name, int dim,
+                            std::shared_ptr<Dataset>* created);
+  /// Answers `req` on sharded `ds` inside a worker group.
+  EngineResponse RunSharded(Dataset& ds, const EngineRequest& req);
   std::string ShardedInsert(Dataset& ds, const std::string& name,
                             const std::vector<std::vector<double>>& rows,
                             const char* verb);

@@ -163,14 +163,6 @@ class ShardForest {
 
   bool IsLive(uint32_t gid) const { return loc_.count(gid) != 0; }
 
-  /// The point with global id `gid` (must be live).
-  const Point<D>& PointOf(uint32_t gid) const {
-    auto it = loc_.find(gid);
-    PARHC_CHECK(it != loc_.end());
-    const Loc& loc = it->second;
-    return shards_[slot_of_uid_.at(loc.uid)]->points()[loc.local];
-  }
-
   /// Calls visit(gid, point) for every live point in ascending gid order:
   /// a merge of the shards' gid-ascending live lists, O(live log shards)
   /// with no locator lookup.

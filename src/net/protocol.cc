@@ -9,37 +9,17 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "data/generators.h"
 #include "data/io.h"
 #include "obs/trace.h"
-#include "obs/verb_counters.h"
 
 namespace parhc {
 namespace net {
 namespace {
-
-std::string StrPrintf(const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  char buf[512];
-  int n = vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) return {};
-  if (static_cast<size_t>(n) < sizeof buf) return std::string(buf, n);
-  std::string big(static_cast<size_t>(n) + 1, '\0');
-  va_start(ap, fmt);
-  vsnprintf(&big[0], big.size(), fmt, ap);
-  va_end(ap);
-  big.resize(static_cast<size_t>(n));
-  return big;
-}
 
 std::string JoinKeys(const std::vector<std::string>& keys) {
   std::string out = "[";
@@ -70,20 +50,17 @@ std::vector<std::vector<double>> RowsFrom(const std::vector<Point<D>>& pts) {
   return rows;
 }
 
-bool Generate(DatasetRegistry& reg, const std::string& name, int dim,
+/// Registers the generated set; ParseLine has checked dim and kind.
+void Generate(DatasetRegistry& reg, const std::string& name, int dim,
               const std::string& kind, size_t n, uint64_t seed) {
-  if (kind != "uniform" && kind != "varden" && kind != "levy" &&
-      kind != "gauss" && kind != "embed") {
-    return false;
-  }
   switch (dim) {
-#define PARHC_GEN_CASE(D)                    \
-  case D:                                    \
+#define PARHC_GEN_CASE(D)                      \
+  case D:                                      \
     reg.Add(name, GenTyped<D>(kind, n, seed)); \
-    return true;
+    break;
     PARHC_FOR_EACH_DIM(PARHC_GEN_CASE)
 #undef PARHC_GEN_CASE
-    default: return false;
+    default: break;  // unreachable: SupportedDim checked by ParseLine
   }
 }
 
@@ -112,7 +89,112 @@ std::string HelpText() {
       "  help | quit\n";
 }
 
+/// Comma-joined registry-hosted dimensions (the hello dim caps).
+std::string ProtocolDims() {
+  std::string out;
+#define PARHC_DIM_ITEM(D)            \
+  if (!out.empty()) out += ',';      \
+  out += std::to_string(D);
+  PARHC_FOR_EACH_DIM(PARHC_DIM_ITEM)
+#undef PARHC_DIM_ITEM
+  return out;
+}
+
+std::string TraceVerb(const Command& cmd) {
+  obs::Tracer& tracer = obs::Tracer::Get();
+  if (cmd.sub == "on") {
+    tracer.Enable();
+    return "ok trace on\n";
+  }
+  if (cmd.sub == "off") {
+    tracer.Disable();
+    return "ok trace off\n";
+  }
+  if (cmd.sub == "status") {
+    return StrPrintf(
+        "ok trace status enabled=%d spans=%llu dropped=%llu\n",
+        tracer.enabled() ? 1 : 0,
+        static_cast<unsigned long long>(tracer.spans_recorded()),
+        static_cast<unsigned long long>(tracer.spans_dropped()));
+  }
+  if (cmd.sub == "clear") {
+    tracer.Clear();
+    return "ok trace clear\n";
+  }
+  if (cmd.sub != "dump") {
+    return "err trace: usage: trace on|off|status|clear|dump <file>\n";
+  }
+  if (cmd.path.empty()) return "err trace: usage: trace dump <file>\n";
+  size_t spans = 0;
+  if (!tracer.DumpJsonToFile(cmd.path, &spans)) {
+    return StrPrintf("err trace dump %s: cannot write\n", cmd.path.c_str());
+  }
+  return StrPrintf("ok trace dump %s spans=%zu\n", cmd.path.c_str(), spans);
+}
+
+std::string SlowlogVerb(const Command& cmd, obs::Observability* obs) {
+  if (obs == nullptr) {
+    return "err slowlog: no slow-query log in this front-end\n";
+  }
+  if (cmd.sub == "clear") {
+    obs->slowlog.Clear();
+    return "ok slowlog clear\n";
+  }
+  if (cmd.sub == "threshold") {
+    if (cmd.bad_token) return "err slowlog: usage: slowlog threshold <us>\n";
+    obs->slowlog.set_threshold_us(cmd.threshold_us);
+    return StrPrintf("ok slowlog threshold_us=%llu\n",
+                     static_cast<unsigned long long>(cmd.threshold_us));
+  }
+  if (!cmd.sub.empty()) {
+    return "err slowlog: usage: slowlog [clear|threshold <us>]\n";
+  }
+  std::string out;
+  std::vector<obs::SlowLogRecord> entries = obs->slowlog.Entries();
+  for (const obs::SlowLogRecord& e : entries) {
+    out += e.Format();
+    out += '\n';
+  }
+  out += StrPrintf(
+      "ok slowlog n=%zu threshold_us=%llu\n", entries.size(),
+      static_cast<unsigned long long>(obs->slowlog.threshold_us()));
+  return out;
+}
+
+ProtocolResult ParseAndExecute(
+    const std::string& line,
+    const std::function<ProtocolResult(const Command&)>& execute) {
+  ProtocolResult res;
+  if (line.empty() || line[0] == '#') return res;
+  Command cmd;
+  try {
+    if (!ParseLine(line, &cmd, &res.out)) return res;
+    return execute(cmd);
+  } catch (const std::exception& e) {
+    res.out = StrPrintf("err %.*s: %s\n",
+                        static_cast<int>(cmd.verb_text.size()),
+                        cmd.verb_text.data(), e.what());
+  }
+  return res;
+}
+
 }  // namespace
+
+std::string StrPrintf(const char* fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  char buf[512];
+  int n = vsnprintf(buf, sizeof buf, fmt, ap);
+  va_end(ap);
+  if (n < 0) return {};
+  if (static_cast<size_t>(n) < sizeof buf) return std::string(buf, n);
+  std::string big(static_cast<size_t>(n) + 1, '\0');
+  va_start(ap, fmt);
+  vsnprintf(&big[0], big.size(), fmt, ap);
+  va_end(ap);
+  big.resize(static_cast<size_t>(n));
+  return big;
+}
 
 std::vector<std::vector<double>> GenerateRows(int dim,
                                               const std::string& kind,
@@ -126,23 +208,6 @@ std::vector<std::vector<double>> GenerateRows(int dim,
     default: return {};
   }
 }
-
-std::string ProtocolDims() {
-  std::string out;
-#define PARHC_DIM_ITEM(D)            \
-  if (!out.empty()) out += ',';      \
-  out += std::to_string(D);
-  PARHC_FOR_EACH_DIM(PARHC_DIM_ITEM)
-#undef PARHC_DIM_ITEM
-  return out;
-}
-
-std::string HelloLine(const char* role) {
-  return StrPrintf("ok hello proto=%d role=%s dims=%s\n", kProtocolVersion,
-                   role, ProtocolDims().c_str());
-}
-
-std::string ProtocolHelpText() { return HelpText(); }
 
 uint64_t ExtractTraceSuffix(std::string* line) {
   size_t pos = line->rfind(" trace=");
@@ -206,510 +271,248 @@ std::string FormatQueryResponse(const std::string& what,
                    JoinKeys(r.reused).c_str(), tail);
 }
 
-namespace {
-
-// ---- Fast query-line parser (the inline cache-hit path) ----
-//
-// Splits on the same whitespace set operator>> skips and accepts only
-// tokens whose hand parse provably matches istringstream extraction
-// (decimal ints without overflow risk; doubles whose characters rule out
-// the strtod/num_get divergences: hex, inf, nan). Anything else returns
-// false and takes the istringstream path, so the two parses can never
-// disagree on an accepted line.
-
-bool IsStreamSpace(char ch) {
-  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' ||
-         ch == '\f' || ch == '\r';
-}
-
-/// Up to the first four whitespace-delimited tokens, allocation-free
-/// (the query verbs need at most verb + dataset + two parameters; extra
-/// tokens are ignored like the istringstream path ignores them).
-int SplitTokens4(const std::string& line, std::string_view out[4]) {
-  int count = 0;
-  size_t i = 0;
-  while (i < line.size() && count < 4) {
-    while (i < line.size() && IsStreamSpace(line[i])) ++i;
-    size_t b = i;
-    while (i < line.size() && !IsStreamSpace(line[i])) ++i;
-    if (i > b) out[count++] = std::string_view(line.data() + b, i - b);
+std::string InsertRows(const Command& cmd, int dim,
+                       std::vector<std::vector<double>>* rows) {
+  // A malformed token must not silently truncate the batch and print "ok".
+  if (cmd.bad_token) {
+    return StrPrintf("err insert %s: malformed coordinate\n",
+                     cmd.name.c_str());
   }
-  return count;
-}
-
-bool ParseSmallInt(std::string_view tok, long* val) {
-  size_t i = (tok[0] == '+' || tok[0] == '-') ? 1 : 0;
-  if (i == tok.size() || tok.size() - i > 9) return false;  // no overflow
-  long v = 0;
-  for (size_t k = i; k < tok.size(); ++k) {
-    if (tok[k] < '0' || tok[k] > '9') return false;
-    v = v * 10 + (tok[k] - '0');
+  const std::vector<double>& vals = cmd.coords;
+  if (vals.empty() || vals.size() % static_cast<size_t>(dim) != 0) {
+    return StrPrintf("err insert %s: need a multiple of %d coordinates\n",
+                     cmd.name.c_str(), dim);
   }
-  *val = tok[0] == '-' ? -v : v;
-  return true;
-}
-
-bool ParseSimpleDouble(std::string_view tok, double* val) {
-  if (tok.empty() || tok.size() > 63) return false;
-  char buf[64];
-  for (size_t k = 0; k < tok.size(); ++k) {
-    char ch = tok[k];
-    if (!((ch >= '0' && ch <= '9') || ch == '.' || ch == '+' ||
-          ch == '-' || ch == 'e' || ch == 'E')) {
-      return false;  // rules out hex/inf/nan, where strtod != operator>>
-    }
-    buf[k] = ch;
+  rows->resize(vals.size() / dim);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    (*rows)[i].assign(vals.begin() + i * dim, vals.begin() + (i + 1) * dim);
   }
-  buf[tok.size()] = '\0';
-  char* end = nullptr;
-  *val = std::strtod(buf, &end);
-  return end == buf + tok.size();
+  return "";
 }
 
-/// Recognizes a cleanly formed query line; extra trailing tokens are
-/// ignored exactly like the istringstream path (which never checks eof
-/// for query verbs).
-bool FastParseQuery(const std::string& line, EngineRequest* req) {
-  if (line.empty() || line[0] == '#') return false;
-  std::string_view t[4];
-  int nt = SplitTokens4(line, t);
-  if (nt < 2) return false;
-  std::string_view cmd = t[0];
-  long a = 0, b = 0;
-  double d = 0;
-  if (cmd == "emst") {
-    req->type = QueryType::kEmst;
-    if (nt > 2) {
-      // `emst <name> eps <e>` is the only 4-token form the slow path
-      // accepts; anything else must fall through so it errs there.
-      if (nt != 4 || t[2] != "eps" || !ParseSimpleDouble(t[3], &d) ||
-          d < 0) {
-        return false;
+ProtocolResult ExecuteLine(
+    const std::string& line,
+    const std::function<ProtocolResult(const Command&)>& execute) {
+  obs::Tracer& tracer = obs::Tracer::Get();
+  if (obs::CurrentTraceId() != 0) return ParseAndExecute(line, execute);
+  // Strip unconditionally, so untraced front-ends still parse forwarded
+  // lines.
+  std::string stripped = line;
+  uint64_t propagated = ExtractTraceSuffix(&stripped);
+  if (propagated == 0 && !tracer.enabled()) {
+    return ParseAndExecute(stripped, execute);
+  }
+  obs::TraceContext ctx(propagated ? propagated : tracer.MintTraceId());
+  using VC = obs::VerbCounters;
+  obs::Span span(
+      VC::kRequestSpanNames[VC::IndexOf(Tokenizer(stripped).Next())], "net");
+  return ParseAndExecute(stripped, execute);
+}
+
+ProtocolResult HandleCommonVerb(const Command& cmd,
+                                const ProtocolOptions& opts,
+                                const char* role) {
+  ProtocolResult res;
+  switch (cmd.verb) {
+    case VerbId("quit"):
+      res.quit = true;
+      break;
+    case VerbId("help"):
+      res.out = HelpText();
+      break;
+    case VerbId("hello"):
+      res.out = StrPrintf("ok hello proto=%d role=%s dims=%s\n",
+                          kProtocolVersion, role, ProtocolDims().c_str());
+      break;
+    case VerbId("metrics"):
+      if (opts.obs == nullptr) {
+        res.out = "err metrics: no metrics registry in this front-end\n";
+      } else if (cmd.sub == "json") {
+        res.out = opts.obs->metrics.Json();
+        res.out += '\n';
+      } else if (!cmd.sub.empty()) {
+        res.out = "err metrics: usage: metrics [json]\n";
+      } else {
+        res.out = opts.obs->metrics.PrometheusText();
+        res.out += "ok metrics\n";
       }
-      req->emst_eps = d;
-    }
-  } else if (cmd == "slink") {
-    if (nt < 3 || !ParseSmallInt(t[2], &a) || a < 0) return false;
-    req->type = QueryType::kSingleLinkage;
-    req->k = static_cast<size_t>(a);
-  } else if (cmd == "hdbscan") {
-    if (nt < 3 || !ParseSmallInt(t[2], &a)) return false;
-    req->type = QueryType::kHdbscan;
-    req->min_pts = static_cast<int>(a);
-  } else if (cmd == "dbscan") {
-    if (nt < 4 || !ParseSmallInt(t[2], &a) ||
-        !ParseSimpleDouble(t[3], &d)) {
-      return false;
-    }
-    req->type = QueryType::kDbscanStarAt;
-    req->min_pts = static_cast<int>(a);
-    req->eps = d;
-  } else if (cmd == "reach") {
-    if (nt < 3 || !ParseSmallInt(t[2], &a)) return false;
-    req->type = QueryType::kReachability;
-    req->min_pts = static_cast<int>(a);
-  } else if (cmd == "clusters") {
-    if (nt < 4 || !ParseSmallInt(t[2], &a) || !ParseSmallInt(t[3], &b) ||
-        b < 0) {
-      return false;
-    }
-    req->type = QueryType::kStableClusters;
-    req->min_pts = static_cast<int>(a);
-    req->min_cluster_size = static_cast<size_t>(b);
-  } else {
-    return false;
+      break;
+    case VerbId("trace"):
+      res.out = TraceVerb(cmd);
+      break;
+    case VerbId("slowlog"):
+      res.out = SlowlogVerb(cmd, opts.obs);
+      break;
+    default:
+      res.out = StrPrintf("err unknown command: %.*s (try help)\n",
+                          static_cast<int>(cmd.verb_text.size()),
+                          cmd.verb_text.data());
   }
-  req->dataset.assign(t[1].data(), t[1].size());
-  return true;
+  return res;
 }
-
-}  // namespace
 
 bool ProtocolSession::TryHandleCachedQuery(const std::string& line,
                                            std::string* out) {
-  EngineRequest req;
-  if (!FastParseQuery(line, &req)) return false;
+  // The verb decides first, so a long non-query line (an insert batch) is
+  // not parsed on the event loop only to be declined.
+  if (!IsQueryVerb(VerbId(Tokenizer(line).Next()))) return false;
+  Command cmd;
+  std::string err;
+  if (!ParseLine(line, &cmd, &err)) return false;
   EngineResponse r;
-  if (!engine_.TryRunCached(req, &r)) return false;
-  // Same verb echo HandleLine produces (the verb is t[0] by construction).
-  size_t b = line.find_first_not_of(" \t\n\v\f\r");
-  size_t e = line.find_first_of(" \t\n\v\f\r", b);
-  *out = FormatQueryResponse(line.substr(b, e - b), req.dataset, r,
+  if (!engine_.TryRunCached(cmd.query, &r)) return false;
+  *out = FormatQueryResponse(std::string(cmd.verb_text), cmd.query.dataset, r,
                              opts_.show_timing);
   return true;
 }
 
 std::string VerbOf(const WireMessage& msg) {
   if (msg.binary) return "frame";
-  size_t b = msg.text.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  size_t e = msg.text.find_first_of(" \t", b);
-  return msg.text.substr(b, e == std::string::npos ? e : e - b);
+  return std::string(Tokenizer(msg.text).Next());
 }
 
 ProtocolResult ProtocolSession::HandleLine(const std::string& line) {
-  // Standalone front-ends (the REPL, direct test drivers) have no
-  // scheduler minting trace ids; give each request its own id and
-  // `request:<verb>` span here, joining a propagated " trace=<id>" suffix
-  // when a router hop carried one. TCP workers arrive with the suffix
-  // already stripped and an id installed (server.cc/scheduler.cc), so
-  // that path is one relaxed load.
-  obs::Tracer& tracer = obs::Tracer::Get();
-  if (obs::CurrentTraceId() != 0) return DispatchLine(line);
-  // Strip unconditionally, so untraced front-ends still parse forwarded
-  // lines.
-  std::string stripped = line;
-  uint64_t propagated = ExtractTraceSuffix(&stripped);
-  if (propagated == 0 && !tracer.enabled()) return DispatchLine(stripped);
-  obs::TraceContext ctx(propagated ? propagated : tracer.MintTraceId());
-  size_t b = stripped.find_first_not_of(" \t");
-  size_t e = stripped.find_first_of(" \t", b);
-  std::string_view verb =
-      b == std::string::npos
-          ? std::string_view()
-          : std::string_view(stripped.data() + b,
-                             (e == std::string::npos ? stripped.size() : e) -
-                                 b);
-  obs::Span span(
-      obs::VerbCounters::kRequestSpanNames[obs::VerbCounters::IndexOf(verb)],
-      "net");
-  return DispatchLine(stripped);
+  return ExecuteLine(line, [this](const Command& cmd) { return Execute(cmd); });
 }
 
-ProtocolResult ProtocolSession::DispatchLine(const std::string& line) {
+ProtocolResult ProtocolSession::Execute(const Command& cmd) {
   ProtocolResult res;
-  if (line.empty() || line[0] == '#') return res;
-  std::istringstream ss(line);
-  std::string cmd;
-  ss >> cmd;
-  try {
-    if (cmd == "quit" || cmd == "exit") {
-      res.quit = true;
-    } else if (cmd == "help") {
-      res.out = HelpText();
-    } else if (cmd == "hello") {
-      res.out = HelloLine("engine");
-    } else if (cmd == "stats") {
-      res.out = "ok stats ";
+  std::string& out = res.out;
+  const std::string& name = cmd.name;
+  switch (cmd.verb) {
+    case VerbId("stats"):
+      out = "ok stats ";
       if (opts_.stats_source) {
-        res.out += opts_.stats_source->Stats().Format();
-        res.out += ' ';
+        out += opts_.stats_source->Stats().Format();
+        out += ' ';
       }
-      res.out += engine_.counters().Format();
-      res.out += ' ';
-      res.out += engine_.executor().stats().Format();
-      res.out += '\n';
-    } else if (cmd == "gen") {
-      std::string name, kind;
-      int dim = 0;
-      size_t n = 0;
-      uint64_t seed = 1;
-      ss >> name >> dim >> kind >> n;
-      if (!(ss >> seed)) seed = 1;
+      out += engine_.counters().Format();
+      out += ' ';
+      out += engine_.executor().stats().Format();
+      out += '\n';
+      break;
+    case VerbId("gen"):
       // Generators issue parallel scheduler work, so they run as an
       // executor task inside a worker group (see engine.h::RunExternal).
-      bool ok = !name.empty() && n != 0 && engine_.RunExternal([&] {
-        return Generate(engine_.registry(), name, dim, kind, n, seed);
+      engine_.RunExternal([&] {
+        Generate(engine_.registry(), name, cmd.dim, cmd.kind, cmd.n, cmd.seed);
       });
-      if (!ok) {
-        res.out = "err gen: usage/unsupported dim or kind\n";
-      } else {
-        res.out = StrPrintf("ok gen %s dim=%d n=%zu kind=%s\n", name.c_str(),
-                            dim, n, kind.c_str());
-      }
-    } else if (cmd == "load") {
-      std::string name, fmt, path;
-      ss >> name >> fmt >> path;
-      if (fmt != "csv" && fmt != "bin" && fmt != "snap") {
-        res.out = "err load: format must be csv, bin, or snap\n";
-        return res;
-      }
+      out = StrPrintf("ok gen %s dim=%d n=%zu kind=%s\n", name.c_str(),
+                      cmd.dim, cmd.n, cmd.kind.c_str());
+      break;
+    case VerbId("load"): {
+      const std::string& fmt = cmd.kind;
       std::string err;
       if (fmt == "snap") {
         // Snapshot problems (missing, truncated, corrupt, or
         // version-mismatched files) come back as typed errors turned
         // into strings — never aborts.
-        err = engine_.LoadDataset(name, path);
+        err = engine_.LoadDataset(name, cmd.path);
       } else {
-        if (std::ifstream probe(path); !probe.good()) {
-          res.out = StrPrintf("err load %s: cannot open %s\n", name.c_str(),
-                              path.c_str());
-          return res;
+        if (std::ifstream probe(cmd.path); !probe.good()) {
+          out = StrPrintf("err load %s: cannot open %s\n", name.c_str(),
+                          cmd.path.c_str());
+          break;
         }
         // Both loaders surface bad data as errors (CSV parse failures
-        // and malformed binary files throw; caught below), never aborts.
+        // and malformed binary files throw; caught by ExecuteLine), never
+        // aborts.
         err = fmt == "csv"
-                  ? engine_.registry().TryAddRows(name, ReadPointsCsv(path))
-                  : engine_.registry().TryAddBin(name, path);
+                  ? engine_.registry().TryAddRows(name, ReadPointsCsv(cmd.path))
+                  : engine_.registry().TryAddBin(name, cmd.path);
       }
       if (!err.empty()) {
-        res.out = StrPrintf("err load %s: %s\n", name.c_str(), err.c_str());
-        return res;
+        out = StrPrintf("err load %s: %s\n", name.c_str(), err.c_str());
+        break;
       }
       auto entry = engine_.registry().Find(name);
-      res.out = StrPrintf("ok load %s dim=%d n=%zu%s\n", name.c_str(),
-                          entry->dim(), entry->num_points(),
-                          fmt == "snap" ? " warm" : "");
-    } else if (cmd == "save") {
-      std::string name, dir;
-      ss >> name >> dir;
-      if (name.empty() || dir.empty()) {
-        res.out = "err save: usage: save <name> <dir>\n";
-        return res;
-      }
-      std::string err = engine_.SaveDataset(name, dir);
-      if (!err.empty()) {
-        res.out = StrPrintf("err save %s: %s\n", name.c_str(), err.c_str());
-      } else {
-        res.out = StrPrintf("ok save %s dir=%s\n", name.c_str(), dir.c_str());
-      }
-    } else if (cmd == "dyn") {
-      std::string name;
-      int dim = 0;
-      ss >> name >> dim;
-      if (ss.fail() || name.empty()) {
-        res.out = "err dyn: usage: dyn <name> <dim>\n";
-        return res;
-      }
-      std::string err = engine_.registry().TryAddDynamic(name, dim);
-      if (!err.empty()) {
-        res.out = StrPrintf("err dyn %s: %s\n", name.c_str(), err.c_str());
-      } else {
-        res.out = StrPrintf("ok dyn %s dim=%d\n", name.c_str(), dim);
-      }
-    } else if (cmd == "insert") {
-      std::string name;
-      ss >> name;
+      out = StrPrintf("ok load %s dim=%d n=%zu%s\n", name.c_str(),
+                      entry->dim(), entry->num_points(),
+                      fmt == "snap" ? " warm" : "");
+      break;
+    }
+    case VerbId("save"): {
+      std::string err = engine_.SaveDataset(name, cmd.path);
+      out = err.empty()
+                ? StrPrintf("ok save %s dir=%s\n", name.c_str(),
+                            cmd.path.c_str())
+                : StrPrintf("err save %s: %s\n", name.c_str(), err.c_str());
+      break;
+    }
+    case VerbId("dyn"): {
+      std::string err = engine_.registry().TryAddDynamic(name, cmd.dim);
+      out = err.empty()
+                ? StrPrintf("ok dyn %s dim=%d\n", name.c_str(), cmd.dim)
+                : StrPrintf("err dyn %s: %s\n", name.c_str(), err.c_str());
+      break;
+    }
+    case VerbId("insert"): {
       auto entry = engine_.registry().Find(name);
       if (!entry) {
-        res.out = StrPrintf("err insert %s: unknown dataset\n", name.c_str());
-        return res;
+        out = StrPrintf("err insert %s: unknown dataset\n", name.c_str());
+        break;
       }
-      int dim = entry->dim();
-      std::vector<double> vals;
-      double v;
-      while (ss >> v) vals.push_back(v);
-      // A malformed token must not silently truncate the batch and print
-      // "ok" (same rule the query verbs enforce below).
-      if (!ss.eof()) {
-        res.out = StrPrintf("err insert %s: malformed coordinate\n",
-                            name.c_str());
-        return res;
-      }
-      if (vals.empty() || vals.size() % static_cast<size_t>(dim) != 0) {
-        res.out = StrPrintf("err insert %s: need a multiple of %d "
-                            "coordinates\n",
-                            name.c_str(), dim);
-        return res;
-      }
-      std::vector<std::vector<double>> rows(vals.size() / dim);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].assign(vals.begin() + i * dim, vals.begin() + (i + 1) * dim);
-      }
-      res.out = DoInsert(name, rows);
-    } else if (cmd == "geninsert") {
-      std::string name, kind;
-      int dim = 0;
-      size_t n = 0;
-      uint64_t seed = 1;
-      ss >> name >> dim >> kind >> n;
-      if (!(ss >> seed)) seed = 1;
-      if (name.empty() || n == 0 || !DatasetRegistry::SupportedDim(dim)) {
-        res.out = "err geninsert: usage/unsupported dim\n";
-        return res;
-      }
-      // Validate the generator kind before the create-if-absent side
-      // effect, so a typo doesn't leave a spurious empty dataset behind.
-      // (Executor task: generators issue parallel work; see `gen` above.)
+      std::vector<std::vector<double>> rows;
+      out = InsertRows(cmd, entry->dim(), &rows);
+      if (out.empty()) out = DoInsert(name, rows);
+      break;
+    }
+    case VerbId("geninsert"): {
+      // ParseLine checked the generator kind, so a typo never reaches the
+      // create-if-absent side effect below. (Executor task: generators
+      // issue parallel work; see `gen` above.)
       std::vector<std::vector<double>> rows = engine_.RunExternal(
-          [&] { return GenerateRows(dim, kind, n, seed); });
-      if (rows.empty()) {
-        res.out = StrPrintf("err geninsert: unknown kind %s\n", kind.c_str());
-        return res;
-      }
+          [&] { return GenerateRows(cmd.dim, cmd.kind, cmd.n, cmd.seed); });
       if (!engine_.registry().Find(name)) {
-        engine_.registry().TryAddDynamic(name, dim);
+        engine_.registry().TryAddDynamic(name, cmd.dim);
       }
       uint32_t first = 0;
       std::string err = engine_.InsertBatch(name, rows, &first);
-      if (!err.empty()) {
-        res.out = StrPrintf("err geninsert %s: %s\n", name.c_str(),
-                            err.c_str());
-      } else {
-        res.out = StrPrintf("ok geninsert %s n=%zu gids=[%u,%u)\n",
-                            name.c_str(), n, first,
-                            first + static_cast<uint32_t>(n));
-      }
-    } else if (cmd == "delete") {
-      std::string name;
-      ss >> name;
-      std::vector<uint32_t> gids;
-      uint32_t gid;
-      while (ss >> gid) gids.push_back(gid);
-      if (!ss.eof()) {
-        res.out = StrPrintf("err delete %s: malformed gid\n", name.c_str());
-        return res;
-      }
-      if (name.empty() || gids.empty()) {
-        res.out = "err delete: usage: delete <name> <gid> [gid ...]\n";
-        return res;
-      }
+      out = err.empty() ? StrPrintf("ok geninsert %s n=%zu gids=[%u,%u)\n",
+                                    name.c_str(), cmd.n, first,
+                                    first + static_cast<uint32_t>(cmd.n))
+                        : StrPrintf("err geninsert %s: %s\n", name.c_str(),
+                                    err.c_str());
+      break;
+    }
+    case VerbId("delete"): {
       size_t deleted = 0;
-      std::string err = engine_.DeleteBatch(name, gids, &deleted);
-      if (!err.empty()) {
-        res.out = StrPrintf("err delete %s: %s\n", name.c_str(), err.c_str());
-      } else {
-        res.out = StrPrintf("ok delete %s deleted=%zu\n", name.c_str(),
-                            deleted);
-      }
-    } else if (cmd == "list") {
+      std::string err = engine_.DeleteBatch(name, cmd.gids, &deleted);
+      out = err.empty()
+                ? StrPrintf("ok delete %s deleted=%zu\n", name.c_str(),
+                            deleted)
+                : StrPrintf("err delete %s: %s\n", name.c_str(), err.c_str());
+      break;
+    }
+    case VerbId("list"):
       for (const DatasetInfo& info : engine_.registry().List()) {
         std::string extra;
         if (info.dynamic) {
           extra = " dynamic shards=" + std::to_string(info.num_shards);
         }
-        res.out += StrPrintf("dataset %s dim=%d n=%zu knn_k=%zu cached=%zu%s\n",
-                             info.name.c_str(), info.dim, info.num_points,
-                             info.knn_k, info.cached_clusterings,
-                             extra.c_str());
+        out += StrPrintf("dataset %s dim=%d n=%zu knn_k=%zu cached=%zu%s\n",
+                         info.name.c_str(), info.dim, info.num_points,
+                         info.knn_k, info.cached_clusterings, extra.c_str());
       }
-      res.out += "ok list\n";
-    } else if (cmd == "drop") {
-      std::string name;
-      ss >> name;
-      res.out = StrPrintf(engine_.registry().Remove(name)
-                              ? "ok drop %s\n"
-                              : "err drop %s: unknown\n",
-                          name.c_str());
-    } else if (cmd == "emst" || cmd == "slink" || cmd == "hdbscan" ||
-               cmd == "dbscan" || cmd == "reach" || cmd == "clusters") {
-      EngineRequest req;
-      ss >> req.dataset;
-      if (cmd == "emst") {
-        req.type = QueryType::kEmst;
-        std::string sub;
-        if (ss >> sub) {
-          // Optional `eps <e>` suffix routes to the partitioned
-          // high-dimensional path (emst/emst_highdim.h); eps 0 is the
-          // exact distance decomposition.
-          if (sub != "eps" || !(ss >> req.emst_eps) || req.emst_eps < 0) {
-            res.out = "err emst: usage: emst <name> [eps <e>]\n";
-            return res;
-          }
-        } else {
-          ss.clear();  // plain `emst <name>`: the suffix is optional
-        }
-      } else if (cmd == "slink") {
-        req.type = QueryType::kSingleLinkage;
-        ss >> req.k;
-      } else if (cmd == "hdbscan") {
-        req.type = QueryType::kHdbscan;
-        ss >> req.min_pts;
-      } else if (cmd == "dbscan") {
-        req.type = QueryType::kDbscanStarAt;
-        ss >> req.min_pts >> req.eps;
-      } else if (cmd == "reach") {
-        req.type = QueryType::kReachability;
-        ss >> req.min_pts;
-      } else {
-        req.type = QueryType::kStableClusters;
-        ss >> req.min_pts >> req.min_cluster_size;
-      }
-      // A missing or malformed argument must not silently fall back to a
-      // default parameterization and print "ok".
-      if (ss.fail() || req.dataset.empty()) {
-        res.out = StrPrintf("err %s: missing or malformed arguments "
-                            "(try help)\n",
-                            cmd.c_str());
-        return res;
-      }
-      res.out = FormatQueryResponse(cmd, req.dataset, engine_.Run(req),
-                                    opts_.show_timing);
-    } else if (cmd == "metrics") {
-      std::string mode;
-      ss >> mode;
-      if (opts_.obs == nullptr) {
-        res.out = "err metrics: no metrics registry in this front-end\n";
-      } else if (mode == "json") {
-        res.out = opts_.obs->metrics.Json();
-        res.out += '\n';
-      } else if (!mode.empty()) {
-        res.out = "err metrics: usage: metrics [json]\n";
-      } else {
-        res.out = opts_.obs->metrics.PrometheusText();
-        res.out += "ok metrics\n";
-      }
-    } else if (cmd == "trace") {
-      std::string sub;
-      ss >> sub;
-      obs::Tracer& tracer = obs::Tracer::Get();
-      if (sub == "on") {
-        tracer.Enable();
-        res.out = "ok trace on\n";
-      } else if (sub == "off") {
-        tracer.Disable();
-        res.out = "ok trace off\n";
-      } else if (sub == "status") {
-        res.out = StrPrintf(
-            "ok trace status enabled=%d spans=%llu dropped=%llu\n",
-            tracer.enabled() ? 1 : 0,
-            static_cast<unsigned long long>(tracer.spans_recorded()),
-            static_cast<unsigned long long>(tracer.spans_dropped()));
-      } else if (sub == "clear") {
-        tracer.Clear();
-        res.out = "ok trace clear\n";
-      } else if (sub == "dump") {
-        std::string path;
-        ss >> path;
-        if (path.empty()) {
-          res.out = "err trace: usage: trace dump <file>\n";
-        } else {
-          size_t spans = 0;
-          if (tracer.DumpJsonToFile(path, &spans)) {
-            res.out = StrPrintf("ok trace dump %s spans=%zu\n", path.c_str(),
-                                spans);
-          } else {
-            res.out = StrPrintf("err trace dump %s: cannot write\n",
-                                path.c_str());
-          }
-        }
-      } else {
-        res.out = "err trace: usage: trace on|off|status|clear|dump <file>\n";
-      }
-    } else if (cmd == "slowlog") {
-      std::string sub;
-      ss >> sub;
-      if (opts_.obs == nullptr) {
-        res.out = "err slowlog: no slow-query log in this front-end\n";
-      } else if (sub == "clear") {
-        opts_.obs->slowlog.Clear();
-        res.out = "ok slowlog clear\n";
-      } else if (sub == "threshold") {
-        uint64_t us = 0;
-        if (!(ss >> us)) {
-          res.out = "err slowlog: usage: slowlog threshold <us>\n";
-        } else {
-          opts_.obs->slowlog.set_threshold_us(us);
-          res.out = StrPrintf("ok slowlog threshold_us=%llu\n",
-                              static_cast<unsigned long long>(us));
-        }
-      } else if (!sub.empty()) {
-        res.out = "err slowlog: usage: slowlog [clear|threshold <us>]\n";
-      } else {
-        std::vector<obs::SlowLogRecord> entries = opts_.obs->slowlog.Entries();
-        for (const obs::SlowLogRecord& e : entries) {
-          res.out += e.Format();
-          res.out += '\n';
-        }
-        res.out += StrPrintf(
-            "ok slowlog n=%zu threshold_us=%llu\n", entries.size(),
-            static_cast<unsigned long long>(opts_.obs->slowlog.threshold_us()));
-      }
-    } else {
-      res.out = StrPrintf("err unknown command: %s (try help)\n", cmd.c_str());
-    }
-  } catch (const std::exception& e) {
-    res.out = StrPrintf("err %s: %s\n", cmd.c_str(), e.what());
+      out += "ok list\n";
+      break;
+    case VerbId("drop"):
+      out = StrPrintf(engine_.registry().Remove(name)
+                          ? "ok drop %s\n"
+                          : "err drop %s: unknown\n",
+                      name.c_str());
+      break;
+    case VerbId("emst"):
+    case VerbId("slink"):
+    case VerbId("hdbscan"):
+    case VerbId("dbscan"):
+    case VerbId("reach"):
+    case VerbId("clusters"):
+      out = FormatQueryResponse(std::string(cmd.verb_text), cmd.query.dataset,
+                                engine_.Run(cmd.query), opts_.show_timing);
+      break;
+    default:
+      return HandleCommonVerb(cmd, opts_, "engine");
   }
   return res;
 }
@@ -717,64 +520,34 @@ ProtocolResult ProtocolSession::DispatchLine(const std::string& line) {
 ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
                                             const std::string& payload) {
   ProtocolResult res;
+  std::string& out = res.out;
   try {
     PayloadReader rd(payload);
     if (opcode == kOpInsertPoints) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      int dim = static_cast<int>(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || name.empty() || dim <= 0 || count == 0 ||
-          rd.remaining() != static_cast<size_t>(count) * dim * sizeof(double)) {
-        res.out = "err insert: malformed frame payload\n";
-        return res;
-      }
-      auto entry = engine_.registry().Find(name);
+      InsertFrame f;
+      out = DecodeInsertFrame(payload, &f);
+      if (!out.empty()) return res;
+      auto entry = engine_.registry().Find(f.name);
       if (!entry) {
-        res.out = StrPrintf("err insert %s: unknown dataset\n", name.c_str());
-        return res;
-      }
-      if (entry->dim() != dim) {
-        res.out = StrPrintf("err insert %s: frame dim %d != dataset dim %d\n",
-                            name.c_str(), dim, entry->dim());
-        return res;
-      }
-      std::vector<std::vector<double>> rows(count, std::vector<double>(dim));
-      for (auto& row : rows) {
-        for (double& v : row) v = rd.GetF64();
-      }
-      res.out = DoInsert(name, rows);
-    } else if (opcode == kOpGetLabels) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint8_t kind = rd.GetU8();
-      EngineRequest req;
-      req.dataset = name;
-      req.min_pts = static_cast<int>(rd.GetU32());
-      if (kind == 0) {
-        req.type = QueryType::kDbscanStarAt;
-        req.eps = rd.GetF64();
+        out = StrPrintf("err insert %s: unknown dataset\n", f.name.c_str());
+      } else if (entry->dim() != f.dim) {
+        out = StrPrintf("err insert %s: frame dim %d != dataset dim %d\n",
+                        f.name.c_str(), f.dim, entry->dim());
       } else {
-        req.type = QueryType::kStableClusters;
-        req.min_cluster_size = static_cast<size_t>(rd.GetU64());
+        out = DoInsert(f.name, f.rows);
       }
-      if (!rd.ok() || name.empty() || kind > 1 || rd.remaining() != 0) {
-        res.out = "err labels: malformed frame payload\n";
-        return res;
-      }
+    } else if (opcode == kOpGetLabels) {
+      EngineRequest req;
+      out = DecodeLabelsFrame(payload, &req);
+      if (!out.empty()) return res;
       EngineResponse r = engine_.Run(req);
-      if (!r.ok) {
-        res.out = StrPrintf("err labels %s: %s\n", name.c_str(),
-                            r.error.c_str());
-        return res;
-      }
-      std::string reply;
-      reply.reserve(4 + r.labels.size() * 4);
-      PutU32(&reply, static_cast<uint32_t>(r.labels.size()));
-      for (int32_t l : r.labels) PutU32(&reply, static_cast<uint32_t>(l));
-      res.out = EncodeFrame(kOpLabelsReply, reply);
+      out = r.ok ? EncodeLabelsReply(r.labels)
+                 : StrPrintf("err labels %s: %s\n", req.dataset.c_str(),
+                             r.error.c_str());
     } else if (opcode == kOpExportPoints) {
       std::string name = rd.GetBytes(rd.GetU16());
       if (!rd.ok() || name.empty() || rd.remaining() != 0) {
-        res.out = "err export: malformed frame payload\n";
+        out = "err export: malformed frame payload\n";
         return res;
       }
       int dim = 0;
@@ -782,7 +555,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
       std::vector<double> coords;
       std::string err = engine_.ExportDataset(name, &dim, &gids, &coords);
       if (!err.empty()) {
-        res.out = StrPrintf("err export %s: %s\n", name.c_str(), err.c_str());
+        out = StrPrintf("err export %s: %s\n", name.c_str(), err.c_str());
         return res;
       }
       std::string reply;
@@ -791,11 +564,11 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
       PutU32(&reply, static_cast<uint32_t>(gids.size()));
       for (uint32_t g : gids) PutU32(&reply, g);
       for (double v : coords) PutF64(&reply, v);
-      res.out = EncodeFrame(kOpPointsReply, reply);
+      out = EncodeFrame(kOpPointsReply, reply);
     } else if (opcode == kOpExportMst) {
       std::string name = rd.GetBytes(rd.GetU16());
       if (!rd.ok() || name.empty() || rd.remaining() != 0) {
-        res.out = "err export: malformed frame payload\n";
+        out = "err export: malformed frame payload\n";
         return res;
       }
       EngineRequest req;
@@ -803,8 +576,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
       req.dataset = name;
       EngineResponse r = engine_.Run(req);
       if (!r.ok) {
-        res.out = StrPrintf("err export %s: %s\n", name.c_str(),
-                            r.error.c_str());
+        out = StrPrintf("err export %s: %s\n", name.c_str(), r.error.c_str());
         return res;
       }
       // MST endpoints are dense point indices; rewrite to global ids so
@@ -820,37 +592,30 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
         PutU32(&reply, r.point_ids ? (*r.point_ids)[e.v] : e.v);
         PutF64(&reply, e.w);
       }
-      res.out = EncodeFrame(kOpEdgesReply, reply);
+      out = EncodeFrame(kOpEdgesReply, reply);
     } else if (opcode == kOpKnnQuery) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint32_t k = rd.GetU32();
-      int dim = static_cast<int>(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || name.empty() || k == 0 || dim <= 0 || count == 0 ||
-          rd.remaining() != static_cast<size_t>(count) * dim * sizeof(double)) {
-        res.out = "err knn: malformed frame payload\n";
-        return res;
-      }
-      std::vector<double> coords(static_cast<size_t>(count) * dim);
-      for (double& v : coords) v = rd.GetF64();
+      KnnFrame f;
+      out = DecodeKnnFrame(payload, &f);
+      if (!out.empty()) return res;
       std::vector<double> rows;
-      std::string err = engine_.KnnForQueries(name, k, coords, count, &rows);
+      std::string err =
+          engine_.KnnForQueries(f.name, f.k, f.coords, f.count, &rows);
       if (!err.empty()) {
-        res.out = StrPrintf("err knn %s: %s\n", name.c_str(), err.c_str());
+        out = StrPrintf("err knn %s: %s\n", f.name.c_str(), err.c_str());
         return res;
       }
       std::string reply;
       reply.reserve(8 + rows.size() * 8);
-      PutU32(&reply, count);
-      PutU32(&reply, k);
+      PutU32(&reply, f.count);
+      PutU32(&reply, f.k);
       for (double v : rows) PutF64(&reply, v);
-      res.out = EncodeFrame(kOpKnnReply, reply);
+      out = EncodeFrame(kOpKnnReply, reply);
     } else if (opcode == kOpShardMrMst) {
       std::string name = rd.GetBytes(rd.GetU16());
       uint32_t count = rd.GetU32();
       if (!rd.ok() || name.empty() ||
           rd.remaining() != static_cast<size_t>(count) * sizeof(double)) {
-        res.out = "err mrmst: malformed frame payload\n";
+        out = "err mrmst: malformed frame payload\n";
         return res;
       }
       std::vector<double> core(count);
@@ -858,7 +623,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
       std::vector<WeightedEdge> edges;
       std::string err = engine_.ShardMrMst(name, core, &edges);
       if (!err.empty()) {
-        res.out = StrPrintf("err mrmst %s: %s\n", name.c_str(), err.c_str());
+        out = StrPrintf("err mrmst %s: %s\n", name.c_str(), err.c_str());
         return res;
       }
       std::string reply;
@@ -869,12 +634,12 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
         PutU32(&reply, e.v);
         PutF64(&reply, e.w);
       }
-      res.out = EncodeFrame(kOpEdgesReply, reply);
+      out = EncodeFrame(kOpEdgesReply, reply);
     } else {
-      res.out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);
+      out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);
     }
   } catch (const std::exception& e) {
-    res.out = StrPrintf("err frame: %s\n", e.what());
+    out = StrPrintf("err frame: %s\n", e.what());
   }
   return res;
 }

@@ -54,10 +54,10 @@ void OnStopSignal(int) {
   }
 }
 
-/// Second whitespace-delimited token of a text request — the dataset
-/// argument for every verb that takes one; "" for binary frames, unknown
-/// commands, and the dataset-less verbs (help/list/stats/metrics/trace/
-/// slowlog).
+/// Second token of a text request — the dataset argument for every verb
+/// that takes one; "" for binary frames, unknown commands, and the
+/// dataset-less verbs (help/list/stats/metrics/trace/slowlog). Only the
+/// first two tokens are read: the event loop does not run the full parse.
 std::string DatasetOf(const WireMessage& msg, int verb_idx) {
   using VC = obs::VerbCounters;
   if (msg.binary || verb_idx == VC::kOther) return "";
@@ -66,15 +66,9 @@ std::string DatasetOf(const WireMessage& msg, int verb_idx) {
       verb == "metrics" || verb == "trace" || verb == "slowlog") {
     return "";
   }
-  const std::string& text = msg.text;
-  size_t b = text.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  size_t e = text.find_first_of(" \t", b);
-  if (e == std::string::npos) return "";
-  b = text.find_first_not_of(" \t", e);
-  if (b == std::string::npos) return "";
-  e = text.find_first_of(" \t\n\v\f\r", b);
-  return text.substr(b, e == std::string::npos ? std::string::npos : e - b);
+  Tokenizer tok(msg.text);
+  tok.Next();
+  return std::string(tok.Next());
 }
 
 /// The built-in factory behind the engine-reference constructor: plain

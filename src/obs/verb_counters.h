@@ -20,8 +20,9 @@ namespace obs {
 
 class VerbCounters {
  public:
-  /// Sorted, fixed verb set; unknown verbs land on "other". Keep in sync
-  /// with the protocol's verb table (net/protocol.cc).
+  /// Sorted, fixed verb set; unknown verbs land on "other". The protocol
+  /// resolves its verbs through this table (net::VerbId in
+  /// net/protocol.h).
   static constexpr const char* kVerbs[] = {
       "clusters", "dbscan",  "delete",    "drop",    "dyn",   "emst",
       "frame",    "gen",     "geninsert", "hdbscan", "help",  "insert",
@@ -43,7 +44,7 @@ class VerbCounters {
       "request:slink",    "request:slowlog", "request:stats",
       "request:trace"};
 
-  static int IndexOf(std::string_view verb) {
+  static constexpr int IndexOf(std::string_view verb) {
     if (verb.empty()) return kOther;
     switch (verb[0]) {
       case 'c': return verb == "clusters" ? 0 : kOther;

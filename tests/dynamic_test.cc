@@ -143,15 +143,17 @@ TEST(ShardForest, TombstonesAndCompaction) {
   EXPECT_EQ(forest.live_count(), size_t{176});
   EXPECT_EQ(forest.shard(0).dead_count(), size_t{0});
 
-  // Locator still resolves surviving points after relocation.
+  // The survivors keep their points after relocation.
   std::vector<uint32_t> live = forest.LiveGids();
   ASSERT_EQ(live.size(), size_t{176});
   EXPECT_TRUE(std::is_sorted(live.begin(), live.end()));
-  for (uint32_t gid : live) {
-    const Point<2>& p = forest.PointOf(gid);
+  size_t visited = 0;
+  forest.ForEachLive([&](uint32_t gid, const Point<2>& p) {
+    ++visited;
     EXPECT_EQ(p[0], pts[gid][0]);
     EXPECT_EQ(p[1], pts[gid][1]);
-  }
+  });
+  EXPECT_EQ(visited, size_t{176});
 }
 
 // The gid locator and dense map compact: after many insert/delete epochs

@@ -326,6 +326,58 @@ TEST(QueryScheduler, CloseConnDropsQueuedWork) {
 }
 
 // ---------------------------------------------------------------------------
+// Request grammar
+
+// One parse on every path: the inline cache-hit path either declines a
+// line or answers exactly HandleLine's bytes, and the token rules in
+// protocol.h fix each line's outcome. An ok line answers like its
+// canonical spelling; an err line answers its verb's err line.
+TEST(ProtocolParse, InlinePathAndHandleLineAgreeOnEveryToken) {
+  ClusteringEngine engine;
+  net::ProtocolOptions popts;
+  popts.show_timing = false;
+  net::ProtocolSession session(engine, popts);
+  for (const char* warm : {"gen w 2 varden 2000 3", "hdbscan w 10", "emst w"}) {
+    ASSERT_EQ(session.HandleLine(warm).out.rfind("ok ", 0), 0u) << warm;
+  }
+  const std::string dbscan_err =
+      "err dbscan: missing or malformed arguments (try help)\n";
+  struct Case {
+    const char* line;
+    std::string want;  ///< the exact err line, or the canonical ok request
+  };
+  const Case cases[] = {
+      {"dbscan w 10 1e400", dbscan_err},
+      {"dbscan w 10 -1e400", dbscan_err},
+      {"dbscan w 10 1e-400", "dbscan w 10 0"},
+      {"dbscan w 10 .5", "dbscan w 10 0.5"},
+      {"dbscan w 10 0x1p-3", dbscan_err},
+      {"dbscan w 10 nan", dbscan_err},
+      {"hdbscan w 10abc",
+       "err hdbscan: missing or malformed arguments (try help)\n"},
+      {"hdbscan w +10", "hdbscan w 10"},
+      {"clusters w 10 -5",
+       "err clusters: missing or malformed arguments (try help)\n"},
+      {"slink w -3", "err slink: missing or malformed arguments (try help)\n"},
+      {"emst w eps 1e400", "err emst: usage: emst <name> [eps <e>]\n"},
+      {"hdbscan\vw\t10", "hdbscan w 10"},
+      {"hdbscan w 10 extra", "hdbscan w 10"},
+  };
+  for (const Case& c : cases) {
+    std::string slow = session.HandleLine(c.line).out;
+    bool ok = c.want.rfind("err ", 0) != 0;
+    EXPECT_EQ(slow, ok ? session.HandleLine(c.want).out : c.want) << c.line;
+    std::string fast;
+    bool answered = session.TryHandleCachedQuery(c.line, &fast);
+    // Every ok line is a warm read here, so the inline path answers it.
+    EXPECT_EQ(answered, ok) << c.line;
+    if (answered) {
+      EXPECT_EQ(fast, slow) << c.line;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Loopback TCP helpers
 
 class TestClient {
@@ -709,6 +761,38 @@ TEST(NetServer, StatsVerbReportsServerAndEngineCounters) {
   EXPECT_NE(stats.find("builds_total="), std::string::npos) << stats;
   EXPECT_NE(stats.find("concurrent_builds=0"), std::string::npos) << stats;
   EXPECT_NE(stats.find("peak_builds="), std::string::npos) << stats;
+}
+
+// The event loop reads a request's verb and dataset with the parser's
+// tokenizer, so they split on every whitespace character the parse
+// splits on: "emst\vw" is counted as emst and logged with dataset w, on
+// the worker path (cold) and the inline path (warm) alike.
+TEST(NetServer, VerbAndDatasetSplitOnEveryWhitespace) {
+  ServerFixture fx;
+  TestClient client(fx.server->port());
+  ASSERT_TRUE(client.connected());
+  client.Send("gen w 2 uniform 200 1\nslowlog threshold 0\n");
+  ASSERT_EQ(client.ReadLine(), "ok gen w dim=2 n=200 kind=uniform\n");
+  ASSERT_EQ(client.ReadLine(), "ok slowlog threshold_us=0\n");
+  for (const char* line : {"emst\vw\n", "emst\fw\n"}) {
+    client.Send(line);
+    std::string reply = client.ReadLine();
+    EXPECT_EQ(reply.rfind("ok emst w ", 0), 0u) << reply;
+  }
+  using VC = obs::VerbCounters;
+  EXPECT_EQ(fx.server->verb_counters().Count(VC::IndexOf("emst")), 2u);
+  EXPECT_EQ(fx.server->verb_counters().Count(VC::kOther), 0u);
+  client.Send("slowlog\n");
+  int emst_records = 0;
+  for (std::string line = client.ReadLine(); line.rfind("ok slowlog", 0) != 0;
+       line = client.ReadLine()) {
+    ASSERT_FALSE(line.empty());
+    if (line.find("kind=query verb=emst ") != std::string::npos) {
+      EXPECT_NE(line.find(" dataset=w "), std::string::npos) << line;
+      ++emst_records;
+    }
+  }
+  EXPECT_EQ(emst_records, 2);
 }
 
 // Reads one `metrics` reply: exposition lines up to the trailing
