@@ -12,7 +12,8 @@ reference byte-for-byte after dropping the built=/reused= introspection
 tokens (the router's merged-artifact cache keys legitimately differ from
 a single-node engine's; see README "Multi-node serving"). Invalid
 requests, malformed tokens included, must answer the reference's exact
-`err` line.
+`err` line; so must a `geninsert` into the sharded set at another
+dimension, which the router rejects itself before any worker sees it.
 
 Usage: check_router_smoke.py --router PORT --reference PORT
 """
@@ -102,6 +103,7 @@ ERR_SCRIPT = [
     "clusters s 10 -5",
     "insert s 1 oops",
     "delete s 3 x",
+    "geninsert s 3 varden 50 7",
 ]
 
 

@@ -1,16 +1,18 @@
 // Distributed merge kernels for the router's sharded query pipeline.
 //
-// The router treats each worker's slice of a sharded dataset exactly like
-// the batch-dynamic backend (src/dynamic/) treats one of its LSM shards:
-// by the distance-decomposition rule, the MST of the union is contained in
-// the union of the per-slice MSTs (computed worker-side by the
-// kOpExportMst / kOpShardMrMst frame verbs) plus one closest-pair edge per
-// well-separated cross pair (s = 2) *between* slices — computed here over
-// router-built kd-trees by the shard forest's own cross step
-// (CrossBccpEdges over CrossWspdEdges in spatial/cross_traverse.h, with
-// global-id tie-breaks), so the Kruskal run over the merged candidates
-// reproduces the single-node MST bit for bit. The
-// mutual-reachability variant stays exact because the router annotates
+// The router treats each worker's slice of a sharded dataset like the
+// batch-dynamic backend (src/dynamic/) treats one of its LSM shards for
+// the EMST: by the distance-decomposition rule, the MST of the union is
+// contained in the union of the per-slice MSTs (computed worker-side by
+// the kOpExportMst / kOpShardMrMst frame verbs; a worker runs the MR-MST
+// frame on its set's artifact DAG, the live-set DAG for a dynamic set)
+// plus one closest-pair edge per well-separated cross pair (s = 2)
+// *between* slices — computed here over router-built kd-trees by the
+// shard forest's own cross step (CrossBccpEdges over CrossWspdEdges in
+// spatial/cross_traverse.h, with global-id tie-breaks), so the Kruskal run
+// over the merged candidates reproduces the single-node MST bit for bit.
+// The mutual-reachability variant, which a single node computes on one
+// tree over all its points, stays exact because the router annotates
 // every slice tree with *globally* merged core distances before the
 // cross traversal (see MergeKnnRows: the k smallest of a union is the
 // merge of the parts' k smallest).
@@ -133,10 +135,10 @@ inline std::unique_ptr<MergerBase> MakeMerger(int dim) {
 
 /// Merges per-worker kNN rows: each worker_rows[w] holds count*k sorted
 /// squared distances of the same `count` queries against that worker's
-/// slice (+inf-padded; see engine_export::KnnRows). Row i of the result is
-/// the k smallest of the union — exactly the row a single-node kNN over
-/// the union computes, because every worker already contributed its k
-/// smallest. Issues parallel work.
+/// slice (+inf-padded; see KnnSquaredRows in spatial/knn.h). Row i of the
+/// result is the k smallest of the union — exactly the row a single-node
+/// kNN over the union computes, because every worker already contributed
+/// its k smallest. Issues parallel work.
 inline std::vector<double> MergeKnnRows(
     size_t count, size_t k,
     const std::vector<std::vector<double>>& worker_rows) {

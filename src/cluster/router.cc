@@ -1054,8 +1054,8 @@ net::ProtocolResult Router::Execute(const net::Command& cmd,
         break;
       }
       if (ds && ds->dim != cmd.dim) {
-        out = StrPrintf("err geninsert %s: dim %d != dataset dim %d\n",
-                        name.c_str(), cmd.dim, ds->dim);
+        out = StrPrintf("err geninsert %s: %s\n", name.c_str(),
+                        RowDimMismatch(ds->dim).c_str());
         break;
       }
       // The generators are seed-deterministic, so running them on the

@@ -14,17 +14,15 @@
 //                 cached by content-id pair — stale exactly when either
 //                 side's live content changes.
 //   global tier   everything derived from the whole forest: the dense gid
-//                 map, the live-set kd-tree, the merged kNN rows, the
-//                 global EMST and MR-MSTs, dendrograms and clusterings;
-//                 keyed by the forest mutation epoch.
+//                 map, the global EMST and its dendrogram, and the live-set
+//                 DAG (HDBSCAN*); dropped by every mutation.
 //
 //            shard tier             cross tier          global tier
 //   shard i: tree, EMST (seeds) --+
 //                                 +-- cross(i,j) --> Kruskal --> EMST
 //   shard j: tree, EMST (seeds) --+
-//   all live points, dense order --> live tree --> kNN rows --> cd@m
-//                                       |                        |
-//                                       +---- MR-MST@m <---------+
+//   all live points, dense order --> live-set DAG (engine/artifacts.h):
+//                                    tree -> kNN -> cd@m -> MR-MST@m -> ...
 //
 // The EMST uses the distance-decomposition rule (Lettich,
 // arXiv:2406.01739): the MST of a union of parts is contained in the union
@@ -34,27 +32,25 @@
 // + MST rebuild; a delete re-runs only the tombstoned shard's MemoGFK,
 // seeded with its surviving EMST edges.
 //
-// HDBSCAN* runs on one kd-tree over the live points in dense order, built
-// at most once per mutation epoch: a full kNN pass (after a delete, or for
-// a wider K) and every MR-MST run on it, exactly as a from-scratch build
-// over the live points does, so core distances are bit-identical and the
-// MR-MST is edge-identical to HdbscanMst over the live points. Mutual-
-// reachability weights change with every core-distance epoch, so a cross
-// tier would not survive an epoch there. On insert the cached kNN rows are
-// updated incrementally on the shard trees (merge each old row with the K
-// best candidates from the new batch's tree; new points query every shard
-// once); a delete invalidates the rows wholesale, since a vanished
-// neighbor cannot be repaired locally.
+// HDBSCAN* gains nothing from cached parts: mutual-reachability weights
+// change with every core-distance epoch. So it is exactly the static
+// computation over the live points: one DatasetArtifacts over the live
+// points in dense order, created by the first clustering read, kNN frame
+// or MR-MST frame of a mutation epoch and dropped by the next mutation.
+// Its core distances are bit-identical and its MR-MST edge-identical to a
+// from-scratch HdbscanMst over the live points; its replies name the
+// artifacts it builds (tree, knn@K, cd@m, mst@m, ...) as a static set's do.
+// This backend keeps only the dense -> gid mapping (point_ids, MR-MST
+// frame endpoints).
 //
 // Queries go through AnswerQuery (engine/artifact_util.h), the validation
 // and response fill shared with the static and router backends; cross
 // candidates come from CrossWspdEdges (spatial/cross_traverse.h), the one
 // cross step shared with the router and the high-dimensional EMST. Every
-// artifact built gets a trace span: build:<key> (BuildSpanName) for the
-// parameter-keyed knn@K, cd@m, mst@m and derived artifacts, and the fixed
-// names build:semst, build:xemst and build:forest-emst for the EMST tiers,
-// whose keys carry content ids that grow without bound under churn. The
-// live tree is traced inside the knn@K or mst@m build that first needs it.
+// artifact built gets a trace span: the live-set DAG's build:<key> spans,
+// and the fixed names build:semst, build:xemst and build:forest-emst for
+// the EMST tiers, whose keys carry content ids that grow without bound
+// under churn.
 //
 // Per-point outputs (core distances, labels, dendrograms, MST endpoints)
 // use *dense* indices: position i corresponds to the i-th live global id in
@@ -62,9 +58,10 @@
 // the dense map is monotone in gid, all tie-breaks agree with a
 // from-scratch build over the live points in gid order.
 //
-// Thread safety: none here; the engine front-end serializes mutations and
-// builds (engine.h). Answer(allow_build = false) is the read-only path and
-// touches no mutable state except the LRU clock.
+// Thread safety: the forest and the tiers here have none of their own; the
+// engine front-end serializes mutations and builds (engine.h).
+// Answer(allow_build = false) is the read-only path: it touches no mutable
+// state here, and the live-set DAG is internally synchronized.
 #pragma once
 
 #include <algorithm>
@@ -80,12 +77,11 @@
 
 #include "dynamic/forest.h"
 #include "engine/artifact_util.h"
+#include "engine/artifacts.h"
 #include "engine/request.h"
 #include "graph/kruskal.h"
-#include "hdbscan/hdbscan_mst.h"
 #include "obs/trace.h"
 #include "spatial/cross_traverse.h"
-#include "spatial/knn.h"
 #include "store/artifact_io.h"
 #include "store/manifest.h"
 
@@ -97,9 +93,9 @@ class DynamicArtifacts {
   size_t num_points() const { return forest_.live_count(); }
   size_t num_shards() const { return forest_.num_shards(); }
   size_t num_tombstones() const { return forest_.dead_count(); }
-  size_t knn_k() const { return knn_valid_ ? knn_k_ : 0; }
+  size_t knn_k() const { return live_ ? live_->knn_k() : 0; }
   size_t num_cached_clusterings() const {
-    return clusterings_.entries.size();
+    return live_ ? live_->num_cached_clusterings() : 0;
   }
   uint32_t next_gid() const { return forest_.next_gid(); }
   /// Entries in the dense gid map — O(live points) by construction;
@@ -107,25 +103,18 @@ class DynamicArtifacts {
   size_t dense_map_size() const { return dense_of_gid_.size(); }
   const ShardForest<D>& forest() const { return forest_; }
 
-  /// Inserts one batch; returns the first assigned global id. Maintains
-  /// the kNN rows incrementally when they are warm, then invalidates the
-  /// global tier (cached cross edges and shard artifacts survive).
+  /// Inserts one batch; returns the first assigned global id. Invalidates
+  /// the global tier (cached cross edges and shard artifacts survive).
   uint32_t InsertBatch(std::vector<Point<D>> pts) {
-    if (knn_valid_) UpdateKnnRowsForInsert(pts);
     uint32_t first = forest_.InsertBatch(std::move(pts));
     InvalidateGlobalTier();
     return first;
   }
 
-  /// Tombstones the given global ids; returns the number deleted. The kNN
-  /// rows cannot be repaired locally (a deleted point may have been inside
-  /// another point's neighborhood), so they are invalidated wholesale.
+  /// Tombstones the given global ids; returns the number deleted.
   size_t DeleteBatch(const std::vector<uint32_t>& gids) {
     size_t deleted = forest_.DeleteBatch(gids);
-    if (deleted > 0) {
-      knn_valid_ = false;
-      InvalidateGlobalTier();
-    }
+    if (deleted > 0) InvalidateGlobalTier();
     return deleted;
   }
 
@@ -143,45 +132,24 @@ class DynamicArtifacts {
     });
   }
 
-  /// kNN rows of arbitrary query points against the live forest: row i
-  /// holds the sorted squared distances from queries[i] to its k nearest
-  /// live points, +inf-padded past the live count — value-identical to
-  /// the rows EnsureKnn builds for resident points (the same kernel on the
-  /// same live-set tree, which the router's next frame, kOpShardMrMst,
-  /// reuses). Issues parallel work and may build the live tree, so the
-  /// engine runs this on the build executor under the exclusive lock.
+  /// kNN rows of arbitrary query points against the live points (net
+  /// kOpKnnQuery; see DatasetArtifacts::KnnForQueries), on the live-set
+  /// DAG's tree, which the router's next frame, kOpShardMrMst, reuses.
+  /// Issues parallel work and may build the DAG, so the engine runs this
+  /// on the build executor under the exclusive lock.
   std::vector<double> KnnForQueries(const std::vector<Point<D>>& queries,
                                     size_t k) {
-    std::vector<double> rows(queries.size() * k,
-                             std::numeric_limits<double>::infinity());
-    size_t n = forest_.live_count();
-    if (n == 0 || queries.empty()) return rows;
-    const size_t cap = std::min(k, n);
-    const KdTree<D>& tree = LiveTree();
-    std::vector<std::vector<std::pair<double, uint32_t>>> scratch(
-        NumWorkers());
-    ParallelFor(0, queries.size(), [&](size_t i) {
-      auto& buf = scratch[Scheduler::Get().MyId()];
-      if (buf.size() < cap) buf.resize(cap);
-      internal::KnnHeap heap(cap, buf.data());
-      internal::KnnQueryInto(tree, queries[i], heap);
-      std::sort(buf.data(), buf.data() + heap.size());
-      double* row = rows.data() + i * k;
-      for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
-    });
-    return rows;
+    return LiveSet().KnnForQueries(queries, k);
   }
 
-  /// The forest's MR-MST under externally supplied *global* core
+  /// The MR-MST of the live points under externally supplied *global* core
   /// distances (`core[i]` = core distance of the i-th live gid ascending),
   /// with gid endpoints — the per-worker part of the router's distributed
-  /// HDBSCAN* merge (net kOpShardMrMst), built on the same live-set tree
-  /// as the local HDBSCAN* path. Issues parallel work; engine runs it on
-  /// the build executor under the exclusive lock.
+  /// HDBSCAN* merge (net kOpShardMrMst), run by the live-set DAG. Issues
+  /// parallel work; engine runs it on the build executor under the
+  /// exclusive lock.
   std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
-    if (forest_.live_count() < 2) return {};
-    EnsureDense();
-    std::vector<WeightedEdge> mst = HdbscanMstOnTree(LiveTree(), core);
+    std::vector<WeightedEdge> mst = LiveSet().MutualReachMst(core);
     for (WeightedEdge& e : mst) {
       e.u = (*ids_dense_)[e.u];
       e.v = (*ids_dense_)[e.v];
@@ -198,16 +166,8 @@ class DynamicArtifacts {
           return Emst(need_dendro, allow_build, out, v);
         },
         [&](int min_pts, bool need_plot, ClusteringView* v) {
-          auto build = [&] {
-            auto e = std::make_shared<ClusteringEntry>();
-            e->core_dist = CoreDist(min_pts, out);
-            e->mst = std::make_shared<const std::vector<WeightedEdge>>(
-                HdbscanMstOnTree(LiveTree(), *e->core_dist));
-            e->mst_weight = TotalEdgeWeight(*e->mst);
-            return e;
-          };
-          return clusterings_.View(min_pts, need_plot, forest_.live_count(),
-                                   allow_build, out, build, v);
+          if (!live_ && !allow_build) return false;
+          return LiveSet().Clustering(min_pts, need_plot, allow_build, out, v);
         });
     if (out->ok) out->point_ids = ids_dense_;
     return answered;
@@ -264,8 +224,8 @@ class DynamicArtifacts {
 
   /// Restores a default-constructed instance from a directory written by
   /// SaveTo: shard structure, tombstones, cached shard EMSTs and the
-  /// cross-edge tier come back warm; the global tier (merged kNN rows,
-  /// Kruskal results, dendrograms) rebuilds on first use. Raises
+  /// cross-edge tier come back warm; the global tier (Kruskal results,
+  /// dendrograms, the live-set DAG) rebuilds on first use. Raises
   /// SnapshotError subtypes; discard the instance on throw.
   void LoadFrom(const std::string& dir) {
     DynamicManifest m = ReadDynamicManifest(dir + "/" + kManifestFileName);
@@ -401,14 +361,12 @@ class DynamicArtifacts {
   void InvalidateGlobalTier() {
     emst_epoch_ = kNoEpoch;
     emst_ = EmstView();
-    clusterings_.entries.clear();
-    clusterings_.core.clear();
     ids_dense_.reset();
     dense_of_gid_.clear();
-    live_tree_.reset();
+    live_.reset();
   }
 
-  // --- dense <-> gid mapping and the live-set tree (global tier) ---------
+  // --- dense <-> gid mapping and the live-set DAG (global tier) ----------
 
   void EnsureDense() {
     if (ids_dense_ && dense_epoch_ == forest_.epoch()) return;
@@ -432,19 +390,18 @@ class DynamicArtifacts {
     return it->second;
   }
 
-  /// The kd-tree over the live points in dense order (tree point id =
-  /// dense index), built at most once per epoch: HDBSCAN*'s kNN pass and
-  /// MR-MSTs run on it exactly as a from-scratch build over the live
-  /// points does.
-  KdTree<D>& LiveTree() {
-    if (!live_tree_) {
+  /// The static artifact DAG over the live points in dense order (point
+  /// index = dense index), created at most once per epoch.
+  DatasetArtifacts<D>& LiveSet() {
+    if (!live_) {
+      EnsureDense();
       std::vector<Point<D>> pts;
       pts.reserve(forest_.live_count());
       forest_.ForEachLive(
           [&](uint32_t, const Point<D>& p) { pts.push_back(p); });
-      live_tree_ = std::make_unique<KdTree<D>>(pts, /*leaf_size=*/1);
+      live_ = std::make_unique<DatasetArtifacts<D>>(std::move(pts));
     }
-    return *live_tree_;
+    return *live_;
   }
 
   /// Kruskal over gid-space candidates, remapped to dense indices in
@@ -569,128 +526,12 @@ class DynamicArtifacts {
     return true;
   }
 
-  // --- HDBSCAN* family ---------------------------------------------------
-
-  /// Global kNN rows at width K (>= the requested k, clamped to n): a
-  /// full rebuild is one all-points kNN pass on the live-set tree. Rows are
-  /// indexed *densely* (position i = the i-th live gid ascending) and hold
-  /// the sorted squared distances to the K nearest live points (self
-  /// included), so memory tracks the live count, not the ever-growing gid
-  /// space. Dense row indices stay valid across inserts — new gids always
-  /// sort after every existing one — and deletes invalidate the rows
-  /// wholesale.
-  void EnsureKnn(size_t k, EngineResponse* out) {
-    if (knn_valid_ && knn_k_ >= k) {
-      TraceArtifact(out, /*built=*/false, "knn@" + std::to_string(knn_k_));
-      return;
-    }
-    size_t n = forest_.live_count();
-    size_t K = std::min(std::max(k, knn_k_), n);
-    const std::string key = "knn@" + std::to_string(K);
-    obs::Span span(BuildSpanName(key), "engine");
-    const KdTree<D>& t = LiveTree();
-    knn_sq_.assign(n * K, 0.0);
-    internal::AllKnnQueries(t, K, [&](uint32_t ti, internal::KnnHeap& heap) {
-      std::pair<double, uint32_t>* row = heap.data();
-      std::sort(row, row + K);
-      double* dst = knn_sq_.data() + size_t{t.id(ti)} * K;
-      for (size_t j = 0; j < K; ++j) dst[j] = row[j].first;
-    });
-    knn_k_ = K;
-    knn_valid_ = true;
-    span.End();
-    TraceArtifact(out, /*built=*/true, key);
-  }
-
-  /// Incremental row maintenance for one insert batch, run *before* the
-  /// forest mutation (so the shard set is the pre-insert one): every
-  /// existing row merges the K best candidates from the batch's tree, and
-  /// each batch point gets a fresh row by querying every shard plus the
-  /// batch itself. Exact because the K smallest of (old forest U batch) is
-  /// the K smallest of (old row U batch candidates).
-  void UpdateKnnRowsForInsert(const std::vector<Point<D>>& batch) {
-    const size_t K = knn_k_;
-    KdTree<D> batch_tree(batch, /*leaf_size=*/1);
-    for (size_t s = 0; s < forest_.num_shards(); ++s) {
-      forest_.shard(s).tree();  // build outside the parallel loop
-    }
-    std::vector<Point<D>> old_pts;
-    old_pts.reserve(forest_.live_count());
-    forest_.ForEachLive(
-        [&](uint32_t, const Point<D>& p) { old_pts.push_back(p); });
-    size_t old_n = old_pts.size();
-    // New points extend the dense row range: their gids exceed every
-    // existing gid, so existing rows keep their dense positions.
-    knn_sq_.resize((old_n + batch.size()) * K, 0.0);
-    struct Scratch {
-      std::vector<std::pair<double, uint32_t>> heap;
-      std::vector<double> merged;
-    };
-    std::vector<Scratch> scratch(NumWorkers());
-    ParallelFor(0, old_n, [&](size_t idx) {
-      Scratch& sc = scratch[Scheduler::Get().MyId()];
-      if (sc.heap.size() < K) sc.heap.resize(K);
-      if (sc.merged.size() < K) sc.merged.resize(K);
-      internal::KnnHeap heap(K, sc.heap.data());
-      internal::KnnQueryInto(batch_tree, old_pts[idx], heap);
-      size_t c = heap.size();
-      std::sort(sc.heap.data(), sc.heap.data() + c);
-      double* row = knn_sq_.data() + idx * K;
-      size_t i = 0, j = 0;
-      for (size_t t = 0; t < K; ++t) {
-        sc.merged[t] = (j >= c || (i < K && row[i] <= sc.heap[j].first))
-                           ? row[i++]
-                           : sc.heap[j++].first;
-      }
-      std::copy(sc.merged.data(), sc.merged.data() + K, row);
-    });
-    ParallelFor(0, batch.size(), [&](size_t idx) {
-      Scratch& sc = scratch[Scheduler::Get().MyId()];
-      if (sc.heap.size() < K) sc.heap.resize(K);
-      internal::KnnHeap heap(K, sc.heap.data());
-      for (size_t s = 0; s < forest_.num_shards(); ++s) {
-        internal::KnnQueryInto(forest_.shard(s).tree(), batch[idx], heap);
-      }
-      internal::KnnQueryInto(batch_tree, batch[idx], heap);
-      PARHC_DCHECK(heap.size() == K);
-      std::sort(sc.heap.data(), sc.heap.data() + K);
-      double* row = knn_sq_.data() + (old_n + idx) * K;
-      for (size_t t = 0; t < K; ++t) row[t] = sc.heap[t].first;
-    });
-  }
-
-  /// Dense core distances for min_pts, derived from the kNN row columns.
-  std::shared_ptr<const std::vector<double>> CoreDist(int min_pts,
-                                                      EngineResponse* out) {
-    const std::string key = "cd@" + std::to_string(min_pts);
-    auto it = clusterings_.core.find(min_pts);
-    if (it != clusterings_.core.end()) {
-      TraceArtifact(out, /*built=*/false, key);
-      return it->second;
-    }
-    obs::Span span(BuildSpanName(key), "engine");
-    EnsureKnn(static_cast<size_t>(min_pts), out);
-    EnsureDense();
-    size_t n = forest_.live_count();
-    size_t stride = knn_k_;
-    auto cd = std::make_shared<std::vector<double>>(n);
-    ParallelFor(0, n, [&](size_t i) {
-      (*cd)[i] = std::sqrt(knn_sq_[i * stride + (min_pts - 1)]);
-    });
-    clusterings_.core.emplace(min_pts, cd);
-    span.End();
-    TraceArtifact(out, /*built=*/true, key);
-    return cd;
-  }
-
   ShardForest<D> forest_;
 
-  // Global tier: dense mapping (compacting: keyed by live gids only) and
-  // the kd-tree over the live points in dense order (HDBSCAN*).
+  // Global tier: dense mapping (compacting: keyed by live gids only).
   std::shared_ptr<const std::vector<uint32_t>> ids_dense_;
   std::unordered_map<uint32_t, uint32_t> dense_of_gid_;
   uint64_t dense_epoch_ = kNoEpoch;
-  std::unique_ptr<KdTree<D>> live_tree_;
 
   // Cross tier: Euclidean candidates per content-id pair.
   std::map<std::pair<uint64_t, uint64_t>, std::vector<WeightedEdge>> cross_;
@@ -699,13 +540,8 @@ class DynamicArtifacts {
   EmstView emst_;
   uint64_t emst_epoch_ = kNoEpoch;
 
-  // Global tier: merged kNN rows (squared distances, row i = i-th live gid
-  // ascending — see EnsureKnn for why dense indices survive inserts).
-  std::vector<double> knn_sq_;
-  size_t knn_k_ = 0;
-  bool knn_valid_ = false;
-
-  ClusteringCache clusterings_;
+  // Global tier: the live-set DAG (HDBSCAN*, kNN and MR-MST frames).
+  std::unique_ptr<DatasetArtifacts<D>> live_;
 };
 
 }  // namespace parhc

@@ -22,8 +22,8 @@
 // live lists.
 //
 // `epoch()` counts mutations: any artifact derived from the whole forest
-// (the global EMST, merged kNN rows, per-minPts clusterings) is tagged with
-// the epoch it was built at and is stale whenever the tags differ. Per-
+// (the global EMST, the live-set DAG's kNN rows and clusterings) is tagged
+// with the epoch it was built at and is stale whenever the tags differ. Per-
 // shard and per-shard-pair artifacts instead key on shard content ids,
 // which survive mutations that leave the shard untouched — this is the
 // shard-aware half of the invalidation model (engine/artifacts.h).

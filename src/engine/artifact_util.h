@@ -157,9 +157,9 @@ bool EnsureDerived(std::shared_ptr<const T>& slot, const std::string& key,
 }
 
 /// Per-minPts clusterings of a backend that serializes its builds (the
-/// shard forest, the router's merged cache): `core` holds cd@m, `entries`
-/// the mst@m entries, LRU-capped at kMaxCachedClusterings, each with its
-/// dendro@m and reach@m built on demand.
+/// router's merged cache): `core` holds cd@m, `entries` the mst@m
+/// entries, LRU-capped at kMaxCachedClusterings, each with its dendro@m
+/// and reach@m built on demand.
 struct ClusteringCache {
   std::map<int, std::shared_ptr<const std::vector<double>>> core;
   std::map<int, std::shared_ptr<ClusteringEntry>> entries;

@@ -41,20 +41,22 @@
 //    seeds its exact repair), a cross-shard part (per shard pair,
 //    invalidated exactly when either side's content changes), and a
 //    forest-global part keyed by the forest mutation epoch: the global
-//    Kruskal result, dendrograms, and the HDBSCAN* branch, which runs on
-//    one kd-tree over the live points (kNN rows, core distances, MR-MSTs
-//    — edge-identical to this backend over the same points). An insert
-//    therefore dirties only the new shard's artifacts, the cross edges
-//    that mention it, and the global tier — never surviving shard
+//    Kruskal result and its dendrogram. Its HDBSCAN* branch is this DAG:
+//    one instance over the live points, created per mutation epoch, so
+//    its answers are those of a static set holding the same points. An
+//    insert therefore dirties only the new shard's artifacts, the cross
+//    edges that mention it, and the global tier — never surviving shard
 //    artifacts.
 //
 // Queries go through AnswerQuery (engine/artifact_util.h), the validation
 // and response fill shared with the dynamic and router backends; this file
 // supplies the EMST and per-minPts MR-MST nodes, plus the eps EMST path
-// that only static datasets serve.
+// that only static datasets serve. The router's worker frames (kNN rows of
+// query points, MR-MST under global core distances) run on the cached
+// kd-tree too (KnnForQueries, MutualReachMst).
 //
-// Thread safety (this backend only; the dynamic backend relies on the
-// engine's exclusive lock): every DAG node is a monitor-guarded state
+// Thread safety (the shard forest around a dynamic set's DAG relies on the
+// engine's exclusive lock instead): every DAG node is a monitor-guarded state
 // machine absent -> building -> ready, run by Node(). A builder claims
 // the node's key in `building_` under `state_mu_`, runs the (possibly
 // long, parallel) build OUTSIDE the lock, installs the result, and
@@ -65,8 +67,8 @@
 // dataset) build concurrently. The kNN matrix claims one key for every
 // width, so a narrower matrix never replaces a wider one. The one
 // cross-node constraint: MST-family builds (HdbscanMstOnTree /
-// EmstMemoGfkOnTree) rewrite the kd-tree's annotation arrays
-// (core-distance + component fields), so they serialize on
+// EmstMemoGfkOnTree, MutualReachMst) rewrite the kd-tree's annotation
+// arrays (core-distance + component fields), so they serialize on
 // `tree_annot_mu_`; kNN search and snapshot writes read only the tree's
 // geometry and proceed concurrently. Answer(allow_build = false) is the
 // read-only path: it never blocks on a build (a node mid-build reads as
@@ -78,6 +80,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -147,6 +150,84 @@ class DatasetArtifacts {
         [&](int min_pts, bool need_plot, ClusteringView* v) {
           return Clustering(min_pts, need_plot, allow_build, out, v);
         });
+  }
+
+  /// kNN rows of arbitrary query points against this set (KnnSquaredRows:
+  /// sorted squared distances, +inf-padded past num_points()), on the
+  /// cached kd-tree, which this builds on first use. Issues parallel work.
+  std::vector<double> KnnForQueries(const std::vector<Point<D>>& queries,
+                                    size_t k) {
+    if (pts_.empty()) {
+      return std::vector<double>(queries.size() * k,
+                                 std::numeric_limits<double>::infinity());
+    }
+    EngineResponse unused;
+    return KnnSquaredRows(*Tree(/*allow_build=*/true, &unused), queries, k);
+  }
+
+  /// MR-MST of this set under externally supplied core distances (indexed
+  /// like points()), on the cached kd-tree; endpoints are point indices.
+  /// Issues parallel work.
+  std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
+    if (pts_.size() < 2) return {};
+    EngineResponse unused;
+    std::shared_ptr<KdTree<D>> tree = Tree(/*allow_build=*/true, &unused);
+    // MST builds rewrite the shared tree's annotation arrays.
+    std::lock_guard<std::mutex> annot(tree_annot_mu_);
+    return HdbscanMstOnTree(*tree, core);
+  }
+
+  /// The per-minPts clustering, with the MST, dendrogram and (on demand)
+  /// reachability plot copied into *view. Returns false iff something was
+  /// missing and !allow_build.
+  bool Clustering(int min_pts, bool need_plot, bool allow_build,
+                  EngineResponse* out, ClusteringView* view) {
+    const std::string suffix = "@" + std::to_string(min_pts);
+    auto get = [&] { return Find(hdbscan_, min_pts); };
+    std::shared_ptr<ClusteringEntry> e = Node(
+        "mst" + suffix, allow_build, out, get, [&] {
+          auto entry = std::make_shared<ClusteringEntry>();
+          entry->core_dist = CoreDist(min_pts, allow_build, out);
+          std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
+          {
+            // MST builds rewrite the shared tree's annotation arrays.
+            std::lock_guard<std::mutex> annot(tree_annot_mu_);
+            entry->mst = std::make_shared<const std::vector<WeightedEdge>>(
+                HdbscanMstOnTree(*tree, *entry->core_dist));
+          }
+          entry->mst_weight = TotalEdgeWeight(*entry->mst);
+          std::lock_guard<std::mutex> lk(state_mu_);
+          hdbscan_.emplace(min_pts, entry);
+          // Never evict an entry a dendrogram or plot builder is extending.
+          EvictLruClusterings(hdbscan_, core_, min_pts, [&](int m) {
+            const std::string at = "@" + std::to_string(m);
+            return building_.count("dendro" + at) != 0 ||
+                   building_.count("reach" + at) != 0;
+          });
+          return entry;
+        });
+    if (!e) return false;
+    auto get_dendro = [&] { return e->dendrogram; };
+    auto build_dendro = [&] {
+      return Publish(e->dendrogram, BuildDendro(*e->mst));
+    };
+    std::shared_ptr<const Dendrogram> dendro =
+        Node("dendro" + suffix, allow_build, out, get_dendro, build_dendro);
+    if (!dendro) return false;
+    auto get_plot = [&] { return e->plot; };
+    auto build_plot = [&] {
+      auto plot = std::make_shared<const ReachabilityPlot>(
+          ComputeReachability(*dendro));
+      return Publish(e->plot, plot);
+    };
+    if (need_plot &&
+        !Node("reach" + suffix, allow_build, out, get_plot, build_plot)) {
+      return false;
+    }
+    std::lock_guard<std::mutex> lk(state_mu_);
+    *view = *e;
+    Touch(*e);
+    return true;
   }
 
   /// Writes every cached artifact plus the manifest into `dir` (created
@@ -437,59 +518,6 @@ class DatasetArtifacts {
           core_.emplace(min_pts, cd);
           return cd;
         });
-  }
-
-  /// The per-minPts clustering, with the MST, dendrogram and (on demand)
-  /// reachability plot copied into *view. Returns false iff something was
-  /// missing and !allow_build.
-  bool Clustering(int min_pts, bool need_plot, bool allow_build,
-                  EngineResponse* out, ClusteringView* view) {
-    const std::string suffix = "@" + std::to_string(min_pts);
-    auto get = [&] { return Find(hdbscan_, min_pts); };
-    std::shared_ptr<ClusteringEntry> e = Node(
-        "mst" + suffix, allow_build, out, get, [&] {
-          auto entry = std::make_shared<ClusteringEntry>();
-          entry->core_dist = CoreDist(min_pts, allow_build, out);
-          std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
-          {
-            // MST builds rewrite the shared tree's annotation arrays.
-            std::lock_guard<std::mutex> annot(tree_annot_mu_);
-            entry->mst = std::make_shared<const std::vector<WeightedEdge>>(
-                HdbscanMstOnTree(*tree, *entry->core_dist));
-          }
-          entry->mst_weight = TotalEdgeWeight(*entry->mst);
-          std::lock_guard<std::mutex> lk(state_mu_);
-          hdbscan_.emplace(min_pts, entry);
-          // Never evict an entry a dendrogram or plot builder is extending.
-          EvictLruClusterings(hdbscan_, core_, min_pts, [&](int m) {
-            const std::string at = "@" + std::to_string(m);
-            return building_.count("dendro" + at) != 0 ||
-                   building_.count("reach" + at) != 0;
-          });
-          return entry;
-        });
-    if (!e) return false;
-    auto get_dendro = [&] { return e->dendrogram; };
-    auto build_dendro = [&] {
-      return Publish(e->dendrogram, BuildDendro(*e->mst));
-    };
-    std::shared_ptr<const Dendrogram> dendro =
-        Node("dendro" + suffix, allow_build, out, get_dendro, build_dendro);
-    if (!dendro) return false;
-    auto get_plot = [&] { return e->plot; };
-    auto build_plot = [&] {
-      auto plot = std::make_shared<const ReachabilityPlot>(
-          ComputeReachability(*dendro));
-      return Publish(e->plot, plot);
-    };
-    if (need_plot &&
-        !Node("reach" + suffix, allow_build, out, get_plot, build_plot)) {
-      return false;
-    }
-    std::lock_guard<std::mutex> lk(state_mu_);
-    *view = *e;
-    Touch(*e);
-    return true;
   }
 
   /// EMST + optional single-linkage dendrogram into *view. Returns false

@@ -1,28 +1,21 @@
-// Partial-artifact export helpers behind the worker-side frame verbs
-// (net/protocol.cc: kOpExportPoints / kOpKnnQuery / kOpShardMrMst) that
-// the router tier (src/cluster/) fans out to.
+// Flat-row conversions behind the worker-side frame verbs that the router
+// tier (src/cluster/) fans out to (net/protocol.cc: point export, kNN rows
+// of query points, shard MR-MSTs). Frames carry points as row-major
+// doubles; the artifact backends take typed points.
 //
-// Exactness contracts (what makes the router's merged answers
-// bit-identical to a single-node engine):
-//  * KnnRows returns *squared* distances — the same values every backend's
-//    kNN heap accumulates — so the router can merge per-worker rows (the k
-//    smallest of a union is the merge of the parts' k smallest) and take
-//    sqrt once, exactly like CoreDist does locally.
-//  * MrMst runs the same HdbscanMstOnTree kernel the single-node HDBSCAN*
-//    path runs, under externally supplied *global* core distances; by the
-//    distance-decomposition rule the union of per-part MR-MSTs plus
-//    cross-part BCCP* edges contains the MR-MST of the union.
+// The frames' kNN rows and MR-MST edges themselves come from
+// DatasetArtifacts::KnnForQueries / MutualReachMst (engine/artifacts.h) on
+// the set's cached kd-tree — a static set's own DAG, or the DAG a dynamic
+// set keeps over its live points (dynamic/artifacts.h) — which run the
+// same kernels as the single-node HDBSCAN* path (KnnSquaredRows in
+// spatial/knn.h, HdbscanMstOnTree); that is what makes the router's merged
+// answers bit-identical to a single node.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
+#include <cstddef>
 #include <vector>
 
-#include "graph/edge.h"
-#include "hdbscan/hdbscan_mst.h"
-#include "parallel/scheduler.h"
-#include "spatial/knn.h"
+#include "geometry/point.h"
 
 namespace parhc {
 namespace engine_export {
@@ -48,42 +41,6 @@ std::vector<Point<D>> UnflattenRows(const std::vector<double>& coords,
     }
   }
   return pts;
-}
-
-/// kNN rows of `queries` against `data`: row i holds the sorted squared
-/// distances from queries[i] to its k nearest data points (self included
-/// when the query is in the data), +inf-padded past data.size(). Issues
-/// parallel work — run inside a worker group (engine build executor).
-template <int D>
-std::vector<double> KnnRows(const std::vector<Point<D>>& data,
-                            const std::vector<Point<D>>& queries, size_t k) {
-  std::vector<double> rows(queries.size() * k,
-                           std::numeric_limits<double>::infinity());
-  if (data.empty() || queries.empty()) return rows;
-  KdTree<D> tree(data, /*leaf_size=*/1);
-  size_t cap = std::min(k, data.size());
-  std::vector<std::vector<std::pair<double, uint32_t>>> scratch(NumWorkers());
-  ParallelFor(0, queries.size(), [&](size_t i) {
-    auto& buf = scratch[Scheduler::Get().MyId()];
-    if (buf.size() < cap) buf.resize(cap);
-    internal::KnnHeap heap(cap, buf.data());
-    internal::KnnQueryInto(tree, queries[i], heap);
-    std::sort(buf.data(), buf.data() + heap.size());
-    double* row = rows.data() + i * k;
-    for (size_t t = 0; t < heap.size(); ++t) row[t] = buf[t].first;
-  });
-  return rows;
-}
-
-/// MR-MST of one immutable point set under externally supplied core
-/// distances (indexed like `pts`). Endpoints are point indices. Issues
-/// parallel work — run inside a worker group.
-template <int D>
-std::vector<WeightedEdge> MrMst(const std::vector<Point<D>>& pts,
-                                const std::vector<double>& core) {
-  if (pts.size() < 2) return {};
-  KdTree<D> tree(pts, /*leaf_size=*/1);
-  return HdbscanMstOnTree(tree, core);
 }
 
 }  // namespace engine_export

@@ -15,8 +15,9 @@
 // shared_ptr and new queries see the new data (documented in README
 // "Serving layer"). Batch-dynamic datasets (AddDynamic) instead accept
 // InsertRows / DeleteIds mutations, backed by the LSM shard forest
-// (dynamic/artifacts.h); the engine front-end serializes mutations with
-// artifact builds.
+// (dynamic/artifacts.h), whose HDBSCAN* side is one DatasetArtifacts<D>
+// over the live points per mutation epoch; the engine front-end
+// serializes mutations with artifact builds.
 //
 // Lifetime audit (Remove vs concurrent Run): Find hands each query its own
 // shared_ptr copy, so Remove only drops the registry's reference — the
@@ -44,6 +45,12 @@
 
 namespace parhc {
 
+/// The error a dataset of dimension `dim` answers to an insert batch of
+/// another width (the router tier words its own check identically).
+inline std::string RowDimMismatch(int dim) {
+  return "rows must match the dataset dimension " + std::to_string(dim);
+}
+
 /// Type-erased registered dataset. `mu` is the readers-writer lock the
 /// engine front-end takes around Answer (shared for read-only cache hits,
 /// exclusive for artifact builds and mutations).
@@ -67,9 +74,10 @@ class DatasetEntryBase {
   // Partial-artifact export surface for the router tier (src/cluster/),
   // behind the kOpExportPoints / kOpKnnQuery / kOpShardMrMst frame verbs.
   // All three may lazily build caches (the dynamic backend's shard
-  // accessors mutate), so the engine calls them under the *exclusive*
-  // lock; the latter two issue parallel work and run on the build
-  // executor.
+  // accessors mutate; the latter two build and reuse the kd-tree of the
+  // set's artifact DAG, for a dynamic set the DAG over its live points),
+  // so the engine calls them under the *exclusive* lock; the latter two
+  // issue parallel work and run on the build executor.
 
   /// Live points in ascending-global-id order: gids[i] and the matching
   /// dim() doubles at coords[i*dim()]. For immutable datasets gid == point
@@ -152,14 +160,13 @@ class DatasetEntry final : public DatasetEntryBase {
 
   std::vector<double> KnnForQueries(const std::vector<double>& coords,
                                     size_t count, size_t k) override {
-    return engine_export::KnnRows<D>(
-        artifacts_.points(), engine_export::UnflattenRows<D>(coords, count),
-        k);
+    return artifacts_.KnnForQueries(
+        engine_export::UnflattenRows<D>(coords, count), k);
   }
 
   std::vector<WeightedEdge> MutualReachMst(
       const std::vector<double>& core) override {
-    return engine_export::MrMst<D>(artifacts_.points(), core);
+    return artifacts_.MutualReachMst(core);
   }
 
  private:
@@ -201,7 +208,7 @@ class DynamicDatasetEntry final : public DatasetEntryBase {
     std::vector<Point<D>> pts(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
       if (rows[i].size() != static_cast<size_t>(D)) {
-        return "rows must match the dataset dimension " + std::to_string(D);
+        return RowDimMismatch(D);
       }
       for (int d = 0; d < D; ++d) pts[i][d] = rows[i][d];
     }

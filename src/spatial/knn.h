@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geometry/distance.h"
@@ -94,26 +95,66 @@ std::vector<std::pair<double, uint32_t>> KnnQuery(const KdTree<D>& tree,
 
 namespace internal {
 
-/// Runs the all-points kNN queries in parallel, handing each query a
-/// per-worker scratch heap (allocated once per worker, not per point) and
-/// the filled heap to `consume(tree_idx, heap)`. The query body issues no
-/// nested parallel work, so one scratch buffer per worker is race-free.
+/// Runs `count` kNN queries of at most k results in parallel — query i at
+/// `query(i)` — handing each a per-worker scratch heap (allocated once per
+/// worker, not per query) and the filled heap to `consume(i, heap)`. The
+/// query body issues no nested parallel work, so one scratch buffer per
+/// worker is race-free.
+template <int D, typename QueryFn, typename ConsumeFn>
+void ParallelKnnQueries(const KdTree<D>& tree, size_t count, size_t k,
+                        const QueryFn& query, const ConsumeFn& consume) {
+  std::vector<std::vector<std::pair<double, uint32_t>>> scratch(NumWorkers());
+  ParallelFor(0, count, [&](size_t i) {
+    auto& buf = scratch[Scheduler::Get().MyId()];
+    if (buf.size() < k) buf.resize(k);
+    KnnHeap heap(k, buf.data());
+    KnnQueryInto(tree, query(i), heap);
+    consume(i, heap);
+  });
+}
+
+/// The all-points kNN queries: `consume(tree_idx, heap)` gets each tree
+/// point's full heap of k.
 template <int D, typename ConsumeFn>
 void AllKnnQueries(const KdTree<D>& tree, size_t k, ConsumeFn consume) {
   size_t n = tree.size();
   PARHC_CHECK_MSG(k >= 1 && k <= n, "k out of range");
-  std::vector<std::vector<std::pair<double, uint32_t>>> scratch(NumWorkers());
-  ParallelFor(0, n, [&](size_t i) {
-    auto& buf = scratch[Scheduler::Get().MyId()];
-    if (buf.size() < k) buf.resize(k);
-    KnnHeap heap(k, buf.data());
-    KnnQueryInto(tree, tree.point(static_cast<uint32_t>(i)), heap);
-    PARHC_DCHECK(heap.size() == k);
-    consume(static_cast<uint32_t>(i), heap);
-  });
+  ParallelKnnQueries(
+      tree, n, k,
+      [&](size_t i) -> const Point<D>& {
+        return tree.point(static_cast<uint32_t>(i));
+      },
+      [&](size_t i, KnnHeap& heap) {
+        PARHC_DCHECK(heap.size() == k);
+        consume(static_cast<uint32_t>(i), heap);
+      });
 }
 
 }  // namespace internal
+
+/// kNN rows of arbitrary query points: row i — `out[i*k .. i*k+k)` — holds
+/// the sorted *squared* distances from queries[i] to its k nearest tree
+/// points (the query itself included when it is in the tree), +inf-padded
+/// past tree.size(). These are the raw heap values, so rows computed
+/// against disjoint point sets merge exactly (the k smallest of a union
+/// are the merge of the parts' k smallest) before one square root.
+template <int D>
+std::vector<double> KnnSquaredRows(const KdTree<D>& tree,
+                                   const std::vector<Point<D>>& queries,
+                                   size_t k) {
+  std::vector<double> rows(queries.size() * k,
+                           std::numeric_limits<double>::infinity());
+  internal::ParallelKnnQueries(
+      tree, queries.size(), std::min(k, tree.size()),
+      [&](size_t i) -> const Point<D>& { return queries[i]; },
+      [&](size_t i, internal::KnnHeap& heap) {
+        std::pair<double, uint32_t>* best = heap.data();
+        std::sort(best, best + heap.size());
+        double* row = rows.data() + i * k;
+        for (size_t t = 0; t < heap.size(); ++t) row[t] = best[t].first;
+      });
+  return rows;
+}
 
 /// Distance from every point to its k-th nearest neighbor (including
 /// itself), indexed by original point id — the core distance cd(p) for

@@ -377,9 +377,8 @@ void DeleteRandomLive(DynamicArtifacts<D>& dyn, Mirror<D>& mirror,
 }
 
 /// Insert-only, delete-only and mixed rounds, each read at minPts 8 and
-/// then 4 (the kNN prefix reuse path): after an insert the kNN rows are
-/// maintained incrementally, after a delete they are rebuilt on the
-/// live-set tree.
+/// then 4 (the kNN prefix reuse path): every round's reads run on that
+/// epoch's live-set DAG.
 template <int D>
 void HdbscanEdgeIdentityUnderChurn(uint64_t seed) {
   std::mt19937_64 rng(seed);

@@ -661,5 +661,195 @@ TEST(EngineConcurrency, RemoveWhileQueriesInFlight) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// The router's worker frames (kOpKnnQuery, kOpShardMrMst) on a static set
+// and on a dynamic set over the same live points: both run on their set's
+// artifact DAG (a dynamic set's DAG over its live points, in ascending-gid
+// order), so rows and edges are bit-identical, the dynamic edges carrying
+// gids where the static ones carry point indices.
+TEST(EngineFrames, StaticAndDynamicSetsAnswerFramesIdentically) {
+  auto all = SeedSpreaderVarden<2>(900, 91, 3);
+  ClusteringEngine engine;
+  ASSERT_EQ(engine.registry().TryAddDynamic("d", 2), "");
+  const size_t kBatches = 4;
+  const size_t kBatch = all.size() / kBatches;
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<Point<2>> batch(all.begin() + b * kBatch,
+                                all.begin() + (b + 1) * kBatch);
+    ASSERT_EQ(engine.InsertBatch("d", test::RowsFrom(batch)), "");
+  }
+  std::vector<uint32_t> victims;
+  for (uint32_t gid = 0; gid < all.size(); gid += 7) victims.push_back(gid);
+  size_t deleted = 0;
+  ASSERT_EQ(engine.DeleteBatch("d", victims, &deleted), "");
+  ASSERT_EQ(deleted, victims.size());
+  std::vector<uint32_t> live_gids;
+  std::vector<Point<2>> live;
+  for (uint32_t gid = 0; gid < all.size(); ++gid) {
+    if (gid % 7 == 0) continue;
+    live_gids.push_back(gid);
+    live.push_back(all[gid]);
+  }
+  engine.registry().Add("s", live);
+
+  // Queries: resident points (self at distance 0), deleted points and
+  // points off the data; k above the live count pads with +inf.
+  std::vector<double> coords;
+  for (uint32_t gid : {0u, 1u, 5u, 7u, 400u, 898u}) {
+    coords.push_back(all[gid][0]);
+    coords.push_back(all[gid][1]);
+  }
+  coords.insert(coords.end(), {-50.0, 3.0, 1e6, -1e6});
+  const size_t count = coords.size() / 2;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t k : {size_t{1}, size_t{10}, live.size() + 3}) {
+    std::vector<double> rows_s, rows_d;
+    ASSERT_EQ(engine.KnnForQueries("s", k, coords, count, &rows_s), "");
+    ASSERT_EQ(engine.KnnForQueries("d", k, coords, count, &rows_d), "");
+    ASSERT_EQ(rows_s.size(), count * k);
+    EXPECT_EQ(rows_s, rows_d) << "k=" << k;
+    EXPECT_EQ(rows_d[k], 0.0) << "k=" << k;  // query 1 is live gid 1
+    EXPECT_TRUE(std::is_sorted(rows_d.begin(), rows_d.begin() + k));
+    if (k > live.size()) {
+      EXPECT_LT(rows_d[live.size() - 1], inf);
+      EXPECT_EQ(rows_d[live.size()], inf);
+    }
+  }
+
+  // Global core distances, as the router would merge them: the static
+  // set's own minPts-6 column.
+  EngineRequest req;
+  req.dataset = "s";
+  req.type = QueryType::kHdbscan;
+  req.min_pts = 6;
+  EngineResponse hs = engine.Run(req);
+  ASSERT_TRUE(hs.ok) << hs.error;
+  std::vector<WeightedEdge> mst_s, mst_d;
+  ASSERT_EQ(engine.ShardMrMst("s", *hs.core_dist, &mst_s), "");
+  ASSERT_EQ(engine.ShardMrMst("d", *hs.core_dist, &mst_d), "");
+  ASSERT_EQ(mst_s.size(), live.size() - 1);
+  for (WeightedEdge& e : mst_s) {
+    e.u = live_gids[e.u];
+    e.v = live_gids[e.v];
+  }
+  std::sort(mst_s.begin(), mst_s.end());
+  std::sort(mst_d.begin(), mst_d.end());
+  EXPECT_EQ(mst_s, mst_d);
+  // The frame MR-MST on the cached tree equals the query path's MR-MST.
+  EXPECT_EQ(SortedWeights(mst_d), SortedWeights(*hs.mst));
+}
+
+// Frames and queries on a dynamic set with no or one live point answer as
+// the shard forest always did: +inf rows, no MR-MST edges, and the empty
+// set's queries fail with "dataset is empty".
+TEST(EngineFrames, EmptyAndSinglePointDynamicSets) {
+  ClusteringEngine engine;
+  ASSERT_EQ(engine.registry().TryAddDynamic("d", 2), "");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> coords = {0.5, 0.5, 3.0, 4.0};
+  std::vector<double> rows;
+  ASSERT_EQ(engine.KnnForQueries("d", 3, coords, 2, &rows), "");
+  EXPECT_EQ(rows, std::vector<double>(6, inf));
+  std::vector<WeightedEdge> edges = {WeightedEdge{0, 1, 1.0}};
+  ASSERT_EQ(engine.ShardMrMst("d", {}, &edges), "");
+  EXPECT_TRUE(edges.empty());
+  EngineRequest req;
+  req.dataset = "d";
+  req.type = QueryType::kHdbscan;
+  req.min_pts = 1;
+  EngineResponse r = engine.Run(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "dataset is empty");
+
+  uint32_t first = 0;
+  ASSERT_EQ(engine.InsertBatch("d", {{0.5, 0.5}, {9.0, 9.0}}, &first), "");
+  ASSERT_EQ(engine.DeleteBatch("d", {first + 1}), "");
+  ASSERT_EQ(engine.KnnForQueries("d", 3, coords, 2, &rows), "");
+  EXPECT_EQ(rows, (std::vector<double>{0.0, inf, inf, 18.5, inf, inf}));
+  ASSERT_EQ(engine.ShardMrMst("d", {0.0}, &edges), "");
+  EXPECT_TRUE(edges.empty());
+  r = engine.Run(req);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.mst->empty());
+  EXPECT_EQ(*r.core_dist, std::vector<double>{0.0});
+  EXPECT_EQ(*r.point_ids, std::vector<uint32_t>{first});
+}
+
+// The inline read path (TryRunCached, shared lock, no builds) on a dynamic
+// set: it answers clustering reads from the live-set DAG of the current
+// mutation epoch only. Every insert or delete drops that DAG, so the next
+// read misses instead of answering from the previous epoch's points, and
+// one Run rebuilds what the inline path then serves unchanged.
+TEST(EngineConcurrency, DynamicSetInlineReadsFollowTheMutationEpoch) {
+  auto base = SeedSpreaderVarden<2>(800, 93, 3);
+  ClusteringEngine engine;
+  ASSERT_EQ(engine.registry().TryAddDynamic("d", 2), "");
+  ASSERT_EQ(engine.InsertBatch("d", test::RowsFrom(base)), "");
+
+  auto make = [](QueryType type) {
+    EngineRequest r;
+    r.dataset = "d";
+    r.type = type;
+    r.min_pts = 8;
+    r.eps = 0.5;
+    r.min_cluster_size = 10;
+    return r;
+  };
+  const std::vector<EngineRequest> reads = {
+      make(QueryType::kHdbscan),
+      make(QueryType::kDbscanStarAt),
+      make(QueryType::kReachability),
+      make(QueryType::kStableClusters),
+  };
+
+  auto expect_hit = [&](const EngineRequest& req, const EngineResponse& want) {
+    EngineResponse got;
+    ASSERT_TRUE(engine.TryRunCached(req, &got));
+    ASSERT_TRUE(got.ok) << got.error;
+    EXPECT_TRUE(got.from_cache);
+    EXPECT_TRUE(got.built.empty());
+    EXPECT_EQ(*got.core_dist, *want.core_dist);
+    EXPECT_EQ(*got.point_ids, *want.point_ids);
+    EXPECT_EQ(got.labels, want.labels);
+    ASSERT_EQ(got.mst == nullptr, want.mst == nullptr);
+    if (want.mst) EXPECT_EQ(*got.mst, *want.mst);
+    ASSERT_EQ(got.plot == nullptr, want.plot == nullptr);
+    if (want.plot) {
+      EXPECT_EQ(got.plot->order, want.plot->order);
+      EXPECT_EQ(got.plot->value, want.plot->value);
+    }
+  };
+  // One Run per read builds (or reuses) its artifacts; the inline path
+  // then serves exactly that answer.
+  auto run_then_hit = [&](size_t n) {
+    for (const EngineRequest& req : reads) {
+      EngineResponse want = engine.Run(req);
+      ASSERT_TRUE(want.ok) << want.error;
+      ASSERT_EQ(want.core_dist->size(), n);
+      expect_hit(req, want);
+    }
+  };
+  auto expect_all_miss = [&] {
+    for (const EngineRequest& req : reads) {
+      EngineResponse got;
+      const int type = static_cast<int>(req.type);
+      EXPECT_FALSE(engine.TryRunCached(req, &got)) << "type " << type;
+    }
+  };
+
+  expect_all_miss();  // nothing built yet
+  run_then_hit(base.size());
+
+  auto batch = SeedSpreaderVarden<2>(60, 94, 2);
+  ASSERT_EQ(engine.InsertBatch("d", test::RowsFrom(batch)), "");
+  expect_all_miss();
+  run_then_hit(base.size() + batch.size());
+
+  size_t deleted = 0;
+  ASSERT_EQ(engine.DeleteBatch("d", {2, 3, 5, 810}, &deleted), "");
+  ASSERT_EQ(deleted, size_t{4});
+  expect_all_miss();
+  run_then_hit(base.size() + batch.size() - 4);
+}
+
 }  // namespace
 }  // namespace parhc
