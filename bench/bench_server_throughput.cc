@@ -480,10 +480,12 @@ void RegisterAll() {
       ->Unit(benchmark::kMillisecond)
       ->Iterations(EnvIters())
       ->UseRealTime();
-  for (int w : WorkerMatrix()) {
-    // trace:off/on matrix: same workload with span recording disabled and
-    // enabled; gate.json bounds the enabled row within 2% of the off row.
-    for (bool trace : {false, true}) {
+  // trace:off/on matrix: same workload with span recording disabled and
+  // enabled. The worker counts of one trace mode run back to back: the
+  // monotone qps_multi gate compares them, and a shared box's slow spells
+  // last longer than one row.
+  for (bool trace : {false, true}) {
+    for (int w : WorkerMatrix()) {
       std::string name = std::string("ServerThroughput/2D-SS-varden/trace:") +
                          (trace ? "on" : "off") +
                          "/workers:" + std::to_string(w);
@@ -494,6 +496,8 @@ void RegisterAll() {
           ->Iterations(EnvIters())
           ->UseRealTime();
     }
+  }
+  for (int w : WorkerMatrix()) {
     std::string cold =
         "ConcurrentColdBuilds/2D-pair/workers:" + std::to_string(w);
     benchmark::RegisterBenchmark(
