@@ -6,14 +6,16 @@ CI starts two parhc_netserver workers, a parhc_router fronting them, and
 one extra parhc_netserver as the single-node reference (all with
 --no-timing on ephemeral ports), then runs this script. It drives the
 same verb sequence over both TCP endpoints — a replicated dataset (gen +
-read fan-out), then a sharded one (dyn/geninsert/insert/delete with
-distributed EMST/HDBSCAN* merges) — and asserts every reply matches the
-reference byte-for-byte after dropping the built=/reused= introspection
-tokens (the router's merged-artifact cache keys legitimately differ from
-a single-node engine's; see README "Multi-node serving"). Invalid
-requests, malformed tokens included, must answer the reference's exact
-`err` line; so must a `geninsert` into the sharded set at another
-dimension, which the router rejects itself before any worker sees it.
+read fan-out), then a sharded one (dyn/geninsert/insert/delete, the EMST
+merged across workers, HDBSCAN* on the router's mirror, including a
+minPts sweep that widens and narrows the kNN width) — and asserts every
+reply matches the reference byte-for-byte after dropping the
+built=/reused= introspection tokens (the router's merged-artifact cache
+keys legitimately differ from a single-node engine's; see README
+"Multi-node serving"). Invalid requests, malformed tokens included, must
+answer the reference's exact `err` line; so must a `geninsert` into the
+sharded set at another dimension, which the router rejects itself before
+any worker sees it.
 
 Usage: check_router_smoke.py --router PORT --reference PORT
 """
@@ -75,7 +77,7 @@ SCRIPT = [
     "clusters rep 10 25",
     "dyn s 2",                      # sharded: split across the workers
     "geninsert s 2 varden 3000 7",
-    "hdbscan s 10",                 # distributed MR-MST merge
+    "hdbscan s 10",                 # mirror export + the mirror's DAG
     "emst s",                       # distributed EMST merge
     "insert s 0.1 0.2 0.9 0.8",
     "emst s",
@@ -84,6 +86,10 @@ SCRIPT = [
     "dbscan s 10 0.1",
     "reach s 10",
     "slink s 4",
+    "hdbscan s 16",                 # minPts sweep on the mirror: wider
+    "reach s 5",                    # than any kNN width built, narrower
+    "clusters s 8 10",
+    "dbscan s 12 0.1",
 ]
 
 # Invalid requests. The router parses with the single node's parser

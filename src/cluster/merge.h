@@ -1,21 +1,25 @@
-// Distributed merge kernels for the router's sharded query pipeline.
+// The router's per-epoch mirror of a sharded dataset and its merge
+// kernels.
 //
-// The router treats each worker's slice of a sharded dataset like the
-// batch-dynamic backend (src/dynamic/) treats one of its LSM shards for
-// the EMST: by the distance-decomposition rule, the MST of the union is
-// contained in the union of the per-slice MSTs (computed worker-side by
-// the kOpExportMst / kOpShardMrMst frame verbs; a worker runs the MR-MST
-// frame on its set's artifact DAG, the live-set DAG for a dynamic set)
+// EMST: the router treats each worker's slice like the batch-dynamic
+// backend (src/dynamic/) treats one of its LSM shards. By the distance-
+// decomposition rule, the MST of the union is contained in the union of
+// the per-slice MSTs (computed worker-side by the kOpExportMst frame verb)
 // plus one closest-pair edge per well-separated cross pair (s = 2)
-// *between* slices — computed here over router-built kd-trees by the
-// shard forest's own cross step (CrossBccpEdges over CrossWspdEdges in
-// spatial/cross_traverse.h, with global-id tie-breaks), so the Kruskal run
-// over the merged candidates reproduces the single-node MST bit for bit.
-// The mutual-reachability variant, which a single node computes on one
-// tree over all its points, stays exact because the router annotates
-// every slice tree with *globally* merged core distances before the
-// cross traversal (see MergeKnnRows: the k smallest of a union is the
-// merge of the parts' k smallest).
+// *between* slices — computed here over router-built kd-trees by the shard
+// forest's own cross step (CrossBccpEdges in spatial/cross_traverse.h,
+// with global-id tie-breaks), so the Kruskal run over the merged
+// candidates reproduces the single-node MST bit for bit.
+//
+// HDBSCAN* gains nothing from cached parts (mutual-reachability weights
+// change with every core-distance epoch), so the mirror holds one static
+// artifact DAG (engine/artifacts.h) over all mirrored points in dense
+// (ascending gid) order, exactly as a single node's shard forest does over
+// its live set: the same points in the same order through the same DAG, so
+// core distances, MR-MSTs, dendrograms and labels are the single node's.
+//
+// Client kNN frames fan out unchanged and merge with MergeKnnRows (the k
+// smallest of a union is the merge of the parts' k smallest).
 //
 // All entry points issue parallel scheduler work — run them inside a
 // worker group (the router wraps them in its BuildExecutor).
@@ -26,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "engine/artifacts.h"
 #include "engine/export.h"
 #include "engine/registry.h"  // PARHC_FOR_EACH_DIM
 #include "graph/edge.h"
@@ -44,64 +49,48 @@ struct WorkerSlice {
   std::vector<double> coords;  ///< flattened row-major, same order
 };
 
-/// Type-erased per-dimension merge state: kd-trees over each worker's
-/// slice, reused across the cross traversals of one merged build.
+/// Type-erased per-dimension mirror state: kd-trees over each worker's
+/// slice for the EMST's cross traversal, and the artifact DAG over the
+/// whole mirror for HDBSCAN*.
 class MergerBase {
  public:
   virtual ~MergerBase() = default;
 
-  /// (Re)builds the per-slice trees. Slices may be empty.
-  virtual void SetWorkers(const std::vector<WorkerSlice>& slices) = 0;
+  /// (Re)builds the per-slice trees and a fresh DAG over the `n` mirrored
+  /// points (slices partition the dense indices [0, n); they may be empty).
+  virtual void SetWorkers(const std::vector<WorkerSlice>& slices, size_t n) = 0;
 
   /// Cross-slice Euclidean BCCP candidate edges, dense-index endpoints.
   virtual std::vector<WeightedEdge> CrossEmstEdges() = 0;
 
-  /// Cross-slice BCCP* candidate edges under globally merged core
-  /// distances (indexed by dense union index), dense-index endpoints.
-  virtual std::vector<WeightedEdge> CrossMrEdges(
-      const std::vector<double>& core_dense) = 0;
+  /// AnswerQuery's clustering step on the mirror's DAG (see
+  /// DatasetArtifacts::Clustering), building what is missing.
+  virtual bool Clustering(int min_pts, bool need_plot, EngineResponse* out,
+                          ClusteringView* view) = 0;
 };
 
 template <int D>
 class Merger : public MergerBase {
  public:
-  void SetWorkers(const std::vector<WorkerSlice>& slices) override {
+  void SetWorkers(const std::vector<WorkerSlice>& slices, size_t n) override {
     trees_.clear();
     dense_.clear();
+    std::vector<Point<D>> mirror(n);
     for (const WorkerSlice& s : slices) {
       dense_.push_back(s.dense);
       if (s.dense.empty()) {
         trees_.emplace_back(nullptr);
-      } else {
-        std::vector<Point<D>> pts =
-            engine_export::UnflattenRows<D>(s.coords, s.dense.size());
-        trees_.emplace_back(new KdTree<D>(pts, /*leaf_size=*/1));
+        continue;
       }
+      std::vector<Point<D>> pts =
+          engine_export::UnflattenRows<D>(s.coords, s.dense.size());
+      for (size_t l = 0; l < pts.size(); ++l) mirror[s.dense[l]] = pts[l];
+      trees_.emplace_back(new KdTree<D>(pts, /*leaf_size=*/1));
     }
+    mirror_ = std::make_unique<DatasetArtifacts<D>>(std::move(mirror));
   }
 
   std::vector<WeightedEdge> CrossEmstEdges() override {
-    return CrossPairs(/*mutual_reach=*/false);
-  }
-
-  std::vector<WeightedEdge> CrossMrEdges(
-      const std::vector<double>& core_dense) override {
-    for (size_t w = 0; w < trees_.size(); ++w) {
-      if (trees_[w] == nullptr) continue;
-      // AnnotateCoreDistances indexes by the tree's original point order,
-      // which is the slice's ascending-gid order.
-      std::vector<double> core_local(dense_[w].size());
-      for (size_t l = 0; l < dense_[w].size(); ++l) {
-        core_local[l] = core_dense[dense_[w][l]];
-      }
-      trees_[w]->AnnotateCoreDistances(core_local);
-    }
-    return CrossPairs(/*mutual_reach=*/true);
-  }
-
- private:
-  /// CrossBccpEdges between every pair of non-empty slices.
-  std::vector<WeightedEdge> CrossPairs(bool mutual_reach) {
     std::vector<WeightedEdge> out;
     for (size_t i = 0; i < trees_.size(); ++i) {
       for (size_t j = i + 1; j < trees_.size(); ++j) {
@@ -110,15 +99,23 @@ class Merger : public MergerBase {
         const std::vector<uint32_t>& db = dense_[j];
         std::vector<WeightedEdge> edges = CrossBccpEdges(
             *trees_[i], *trees_[j], [&](uint32_t t) { return da[t]; },
-            [&](uint32_t t) { return db[t]; }, mutual_reach);
+            [&](uint32_t t) { return db[t]; });
         out.insert(out.end(), edges.begin(), edges.end());
       }
     }
     return out;
   }
 
+  bool Clustering(int min_pts, bool need_plot, EngineResponse* out,
+                  ClusteringView* view) override {
+    return mirror_->Clustering(min_pts, need_plot, /*allow_build=*/true, out,
+                               view);
+  }
+
+ private:
   std::vector<std::unique_ptr<KdTree<D>>> trees_;
   std::vector<std::vector<uint32_t>> dense_;
+  std::unique_ptr<DatasetArtifacts<D>> mirror_;
 };
 
 inline std::unique_ptr<MergerBase> MakeMerger(int dim) {

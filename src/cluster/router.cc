@@ -9,9 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <set>
 #include <string_view>
@@ -419,7 +417,7 @@ std::string Router::ShardedLoad(const std::string& name,
 // ---- merged query pipeline (sharded datasets) ---------------------------
 
 bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
-  if (ds.merged && ds.merged->epoch == ds.epoch && ds.merged->mirror_ok) {
+  if (ds.merged && ds.merged->epoch == ds.epoch) {
     TraceArtifact(out, /*built=*/false, "mirror");
     return true;
   }
@@ -450,7 +448,6 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
     }
   }
 
-  merged->coords.assign(n * static_cast<size_t>(dim), 0.0);
   merged->worker_dense.assign(w_count, {});
   merged->worker_local.assign(w_count, {});
   std::vector<WorkerSlice> slices(w_count);
@@ -501,12 +498,6 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
     for (double& v : s.coords) v = rd.GetF64();
     if (!rd.ok() || rd.remaining() != 0) {
       errs[w] = "worker " + up.addr() + " sent a malformed points reply";
-      return;
-    }
-    for (uint32_t l = 0; l < count; ++l) {
-      std::memcpy(&merged->coords[static_cast<size_t>(wd[l]) * dim],
-                  &s.coords[static_cast<size_t>(l) * dim],
-                  sizeof(double) * static_cast<size_t>(dim));
     }
   });
   for (size_t w = 0; w < w_count; ++w) {
@@ -521,115 +512,32 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
     out->error = "unsupported dataset dimension " + std::to_string(dim);
     return false;
   }
-  merged->merger->SetWorkers(slices);
-  merged->mirror_ok = true;
+  merged->merger->SetWorkers(slices, n);
   ds.merged = std::move(merged);
   TraceArtifact(out, /*built=*/true, "mirror");
   return true;
 }
 
-bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out) {
+bool Router::EnsureEmst(Dataset& ds, EngineResponse* out) {
   Merged& m = *ds.merged;
-  if (m.knn_ok && m.knn_k >= k) {
-    TraceArtifact(out, /*built=*/false, "knn@" + std::to_string(m.knn_k));
+  if (m.emst.mst) {
+    TraceArtifact(out, /*built=*/false, "forest-emst");
     return true;
   }
-  size_t n = ds.live_n;
-  size_t K = std::min(std::max(k, m.knn_k), n);
-  obs::Span span(BuildSpanName("knn@" + std::to_string(K)), "engine");
-  std::vector<std::vector<double>> worker_rows;
-  std::vector<std::string> errs(pool_.size());
-  std::mutex rows_mu;
-  pool_.ForEach([&](size_t w, Upstream& up) {
-    if (m.worker_dense[w].empty()) return;
-    std::string payload;
-    net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-    payload += ds.name;
-    net::PutU32(&payload, static_cast<uint32_t>(K));
-    net::PutU16(&payload, static_cast<uint16_t>(ds.dim));
-    net::PutU32(&payload, static_cast<uint32_t>(n));
-    for (double v : m.coords) net::PutF64(&payload, v);
-    net::WireMessage req;
-    req.binary = true;
-    req.opcode = net::kOpKnnQuery;
-    req.payload = std::move(payload);
-    net::WireMessage reply;
-    if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during kNN fan-out";
-      return;
-    }
-    if (!reply.binary || reply.opcode != net::kOpKnnReply) {
-      errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-      return;
-    }
-    net::PayloadReader rd(reply.payload);
-    uint32_t count = rd.GetU32();
-    uint32_t rk = rd.GetU32();
-    if (!rd.ok() || count != n || rk != K ||
-        rd.remaining() != static_cast<size_t>(n) * K * sizeof(double)) {
-      errs[w] = "worker " + up.addr() + " sent a malformed kNN reply";
-      return;
-    }
-    std::vector<double> rows(static_cast<size_t>(n) * K);
-    for (double& v : rows) v = rd.GetF64();
-    std::lock_guard<std::mutex> lock(rows_mu);
-    worker_rows.push_back(std::move(rows));
-  });
-  for (const std::string& e : errs) {
-    if (!e.empty()) {
-      out->error = e;
-      return false;
-    }
-  }
-  m.knn_sq = MergeKnnRows(n, K, worker_rows);
-  m.knn_k = K;
-  m.knn_ok = true;
-  TraceArtifact(out, /*built=*/true, "knn@" + std::to_string(K));
-  return true;
-}
-
-std::shared_ptr<const std::vector<double>> Router::CoreDist(
-    Dataset& ds, int min_pts, EngineResponse* out) {
-  Merged& m = *ds.merged;
-  const std::string key = "cd@" + std::to_string(min_pts);
-  auto it = m.clusterings.core.find(min_pts);
-  if (it != m.clusterings.core.end()) {
-    TraceArtifact(out, /*built=*/false, key);
-    return it->second;
-  }
-  obs::Span span(BuildSpanName(key), "engine");
-  if (!EnsureKnn(ds, static_cast<size_t>(min_pts), out)) return nullptr;
-  size_t n = ds.live_n;
-  size_t stride = m.knn_k;
-  auto cd = std::make_shared<std::vector<double>>(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*cd)[i] = std::sqrt(m.knn_sq[i * stride + (min_pts - 1)]);
-  }
-  m.clusterings.core.emplace(min_pts, cd);
-  TraceArtifact(out, /*built=*/true, key);
-  return cd;
-}
-
-template <typename Append>
-std::shared_ptr<const std::vector<WeightedEdge>> Router::MergedMst(
-    Dataset& ds, uint8_t opcode, const char* what, const Append& append,
-    std::vector<WeightedEdge> edges, EngineResponse* out) {
-  Merged& m = *ds.merged;
+  obs::Span span("build:forest-emst", "engine");
+  std::vector<WeightedEdge> edges = m.merger->CrossEmstEdges();
   std::vector<std::string> errs(pool_.size());
   std::mutex edges_mu;
   pool_.ForEach([&](size_t w, Upstream& up) {
     if (m.worker_dense[w].empty()) return;
-    std::string payload;
-    net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-    payload += ds.name;
-    append(w, &payload);
     net::WireMessage req;
     req.binary = true;
-    req.opcode = opcode;
-    req.payload = std::move(payload);
+    req.opcode = net::kOpExportMst;
+    net::PutU16(&req.payload, static_cast<uint16_t>(ds.name.size()));
+    req.payload += ds.name;
     net::WireMessage reply;
     if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during " + what + " fan-out";
+      errs[w] = "worker " + up.addr() + " failed during EMST fan-out";
       return;
     }
     if (!reply.binary || reply.opcode != net::kOpEdgesReply) {
@@ -661,48 +569,15 @@ std::shared_ptr<const std::vector<WeightedEdge>> Router::MergedMst(
   for (const std::string& e : errs) {
     if (!e.empty()) {
       out->error = e;
-      return nullptr;
+      return false;
     }
   }
   std::vector<WeightedEdge> mst = KruskalMst(ds.live_n, std::move(edges));
   PARHC_CHECK_MSG(mst.size() + 1 == ds.live_n,
                   "cluster MST candidates did not span all points");
-  return std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-}
-
-std::shared_ptr<ClusteringEntry> Router::BuildClustering(
-    Dataset& ds, int min_pts, EngineResponse* out) {
-  Merged& m = *ds.merged;
-  auto cd = CoreDist(ds, min_pts, out);
-  if (!cd) return nullptr;
-  // Per-worker MR-MSTs under the *globally* merged core distances, in each
-  // worker's ascending-gid order.
-  auto append_core = [&](size_t w, std::string* payload) {
-    net::PutU32(payload, static_cast<uint32_t>(m.worker_dense[w].size()));
-    for (uint32_t dense : m.worker_dense[w]) net::PutF64(payload, (*cd)[dense]);
-  };
-  auto mst = MergedMst(ds, net::kOpShardMrMst, "MR-MST", append_core,
-                       m.merger->CrossMrEdges(*cd), out);
-  if (!mst) return nullptr;
-  auto e = std::make_shared<ClusteringEntry>();
-  e->core_dist = cd;
-  e->mst = mst;
-  e->mst_weight = TotalEdgeWeight(*mst);
-  return e;
-}
-
-bool Router::EnsureEmst(Dataset& ds, EngineResponse* out) {
-  Merged& m = *ds.merged;
-  if (m.emst.mst) {
-    TraceArtifact(out, /*built=*/false, "forest-emst");
-    return true;
-  }
-  obs::Span span("build:forest-emst", "engine");
-  m.emst.mst = MergedMst(ds, net::kOpExportMst, "EMST",
-                         [](size_t, std::string*) {},
-                         m.merger->CrossEmstEdges(), out);
-  if (!m.emst.mst) return false;
-  m.emst.mst_weight = TotalEdgeWeight(*m.emst.mst);
+  m.emst.mst_weight = TotalEdgeWeight(mst);
+  m.emst.mst =
+      std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
   TraceArtifact(out, /*built=*/true, "forest-emst");
   return true;
 }
@@ -730,9 +605,7 @@ void Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
       },
       [&](int min_pts, bool need_plot, ClusteringView* v) {
         if (!EnsureMirror(ds, out)) return true;
-        return ds.merged->clusterings.View(
-            min_pts, need_plot, ds.live_n, /*allow_build=*/true, out,
-            [&] { return BuildClustering(ds, min_pts, out); }, v);
+        return ds.merged->merger->Clustering(min_pts, need_plot, out, v);
       });
   if (out->ok) out->point_ids = ds.merged->dense_gids;
 }
@@ -1247,20 +1120,17 @@ net::ProtocolResult Router::HandleFrame(uint8_t opcode,
       net::PutU32(&reply, k);
       for (double v : merged_rows) net::PutF64(&reply, v);
       out = net::EncodeFrame(net::kOpKnnReply, reply);
-    } else if (opcode == net::kOpExportPoints || opcode == net::kOpExportMst ||
-               opcode == net::kOpShardMrMst) {
+    } else if (opcode == net::kOpExportPoints || opcode == net::kOpExportMst) {
       net::PayloadReader rd(payload);
       std::string name = rd.GetBytes(rd.GetU16());
-      const char* what = opcode == net::kOpShardMrMst ? "mrmst" : "export";
       auto ds = rd.ok() && !name.empty() ? FindDataset(name) : nullptr;
       if (ds && ds->mode == Mode::kSharded) {
         // The export surface exists for router→worker fan-out; a sharded
         // dataset has no single worker that could answer it.
-        out = StrPrintf(
-            "err %s %s: not supported on sharded datasets via the router\n",
-            what, name.c_str());
+        out = "err export " + name +
+              ": not supported on sharded datasets via the router\n";
       } else {
-        out = Forward(fwd, what);
+        out = Forward(fwd, "export");
       }
     } else {
       out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);

@@ -17,29 +17,36 @@
 //  * Sharded (created by `dyn` / `geninsert`): each ingested point gets a
 //    global id from the router's watermark (the same contiguous sequence a
 //    single-node dynamic dataset would assign) and is placed on worker
-//    SplitMix64(gid) % N (cluster/placement.h). Queries run a distributed
-//    build: per-worker partial artifacts (points / kNN rows / per-slice
-//    MSTs via the kOp* frame verbs) fan out with bounded concurrency and
-//    merge under the distance-decomposition rule (cluster/merge.h), so
-//    EMST / HDBSCAN* / kNN answers are bit-identical to a single-node
-//    engine over the union — same MST edge set, same Kruskal edge order,
-//    same dendrogram, same labels (tests/cluster_test.cc holds this).
+//    SplitMix64(gid) % N (cluster/placement.h). Queries run on a per-epoch
+//    mirror of the live points (cluster/merge.h), exported once per
+//    mutation epoch with the kOpExportPoints frame verb. The EMST merges
+//    per-worker slice EMSTs (kOpExportMst) with cross-slice BCCP edges
+//    under the distance-decomposition rule; HDBSCAN* runs on one static
+//    artifact DAG over the mirror in dense (ascending gid) order, exactly
+//    as a single node's dynamic set runs it over its live points; client
+//    kNN frames fan out to every owner and k-way merge. So EMST /
+//    HDBSCAN* / kNN answers are bit-identical to a single-node engine over
+//    the union — same MST edge set, same Kruskal edge order, same
+//    dendrogram, same labels (tests/cluster_test.cc holds this).
 //    Validation, label extraction and the response fill are the
 //    single-node code itself (AnswerQuery, engine/artifact_util.h), so
 //    error responses are the same too. Response lines differ only in the
 //    built=/reused= introspection keys (the router traces its own artifact
-//    scheme; a single-node dynamic backend's keys embed LSM content ids no
-//    other process can know).
+//    scheme: mirror, forest-emst, then the mirror DAG's tree, knn@K, ...;
+//    a single-node dynamic backend's keys embed LSM content ids no other
+//    process can know).
 //
 // Failure semantics: health checks eject dead upstreams (reads skip them;
-// sharded operations whose owners are down fail loudly). A recovered
-// worker is re-seeded: replicated datasets replay their creation lines
-// (idempotent — the registry replaces by name); sharded slices are
-// verified against the placement map via a point export and, when lost,
-// restored from the last `save` snapshot if no mutation happened since,
-// else the dataset is marked degraded until an operator restores it.
-// Partial mutations (a worker failing mid-insert) also degrade the
-// dataset rather than serving silently wrong answers.
+// sharded operations whose owners are down fail loudly, except reads the
+// router answers from what it holds for the current epoch: every
+// clustering read once the mirror is exported, the EMST once merged). A
+// recovered worker is re-seeded: replicated datasets replay their
+// creation lines (idempotent — the registry replaces by name); sharded
+// slices are verified against the placement map via a point export and,
+// when lost, restored from the last `save` snapshot if no mutation
+// happened since, else the dataset is marked degraded until an operator
+// restores it. Partial mutations (a worker failing mid-insert) also
+// degrade the dataset rather than serving silently wrong answers.
 //
 // Trace ids propagate across hops: the router appends " trace=<id>" to
 // forwarded lines and wraps every upstream round trip in a "hop:<addr>"
@@ -112,22 +119,17 @@ class Router {
  private:
   /// Merged-artifact cache of one sharded dataset, the router's global
   /// tier: invalidated wholesale when the dataset's epoch moves, queried
-  /// through the same AnswerQuery and ClusteringCache
-  /// (engine/artifact_util.h) as the single-node backends.
+  /// through the same AnswerQuery (engine/artifact_util.h) as the
+  /// single-node backends.
   struct Merged {
     uint64_t epoch = 0;
-    bool mirror_ok = false;
     std::shared_ptr<const std::vector<uint32_t>> dense_gids;  ///< dense->gid
-    std::vector<double> coords;  ///< dense-order rows
     std::vector<std::vector<uint32_t>> worker_dense;  ///< worker->dense ids
     /// Worker->ascending live worker-local gids, parallel to worker_dense
     /// (remaps worker MST edge endpoints to dense indices).
     std::vector<std::vector<uint32_t>> worker_local;
+    /// Slice trees for the EMST's cross edges; the DAG over the mirror.
     std::unique_ptr<MergerBase> merger;
-    bool knn_ok = false;
-    size_t knn_k = 0;
-    std::vector<double> knn_sq;  ///< n x knn_k sorted squared distances
-    ClusteringCache clusterings;
     EmstView emst;
   };
 
@@ -194,21 +196,10 @@ class Router {
   void AnswerSharded(Dataset& ds, const EngineRequest& req,
                      EngineResponse* out);
   bool EnsureMirror(Dataset& ds, EngineResponse* out);
-  bool EnsureKnn(Dataset& ds, size_t k, EngineResponse* out);
-  std::shared_ptr<const std::vector<double>> CoreDist(Dataset& ds,
-                                                      int min_pts,
-                                                      EngineResponse* out);
-  std::shared_ptr<ClusteringEntry> BuildClustering(Dataset& ds, int min_pts,
-                                                   EngineResponse* out);
+  /// The merged EMST: Kruskal over the cross-slice edges plus every slice
+  /// EMST, fetched with one kOpExportMst frame per worker holding a slice
+  /// and remapped to dense ids.
   bool EnsureEmst(Dataset& ds, EngineResponse* out);
-  /// The merged MST of a sharded dataset: Kruskal over the cross-slice
-  /// `edges` plus every slice MST, fetched with one `opcode` frame (the
-  /// dataset name, then `append(w, &payload)`) per worker holding a slice
-  /// and remapped to dense ids. Null after setting out->error.
-  template <typename Append>
-  std::shared_ptr<const std::vector<WeightedEdge>> MergedMst(
-      Dataset& ds, uint8_t opcode, const char* what, const Append& append,
-      std::vector<WeightedEdge> edges, EngineResponse* out);
   void Reseed(size_t worker);
   void ReseedSharded(size_t worker, Dataset& ds);
   std::string ClusterStatsText() const;

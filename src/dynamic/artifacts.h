@@ -35,13 +35,12 @@
 // HDBSCAN* gains nothing from cached parts: mutual-reachability weights
 // change with every core-distance epoch. So it is exactly the static
 // computation over the live points: one DatasetArtifacts over the live
-// points in dense order, created by the first clustering read, kNN frame
-// or MR-MST frame of a mutation epoch and dropped by the next mutation.
-// Its core distances are bit-identical and its MR-MST edge-identical to a
-// from-scratch HdbscanMst over the live points; its replies name the
-// artifacts it builds (tree, knn@K, cd@m, mst@m, ...) as a static set's do.
-// This backend keeps only the dense -> gid mapping (point_ids, MR-MST
-// frame endpoints).
+// points in dense order, created by the first clustering read or kNN frame
+// of a mutation epoch and dropped by the next mutation. Its core distances
+// are bit-identical and its MR-MST edge-identical to a from-scratch
+// HdbscanMst over the live points; its replies name the artifacts it
+// builds (tree, knn@K, cd@m, mst@m, ...) as a static set's do. This
+// backend keeps only the dense -> gid mapping (point_ids).
 //
 // Queries go through AnswerQuery (engine/artifact_util.h), the validation
 // and response fill shared with the static and router backends; cross
@@ -133,28 +132,14 @@ class DynamicArtifacts {
   }
 
   /// kNN rows of arbitrary query points against the live points (net
-  /// kOpKnnQuery; see DatasetArtifacts::KnnForQueries), on the live-set
-  /// DAG's tree, which the router's next frame, kOpShardMrMst, reuses.
-  /// Issues parallel work and may build the DAG, so the engine runs this
-  /// on the build executor under the exclusive lock.
+  /// kOpKnnQuery, the router's client kNN fan-out; see
+  /// DatasetArtifacts::KnnForQueries), on the live-set DAG's tree, which
+  /// the epoch's clustering reads reuse. Issues parallel work and may
+  /// build the DAG, so the engine runs this on the build executor under
+  /// the exclusive lock.
   std::vector<double> KnnForQueries(const std::vector<Point<D>>& queries,
                                     size_t k) {
     return LiveSet().KnnForQueries(queries, k);
-  }
-
-  /// The MR-MST of the live points under externally supplied *global* core
-  /// distances (`core[i]` = core distance of the i-th live gid ascending),
-  /// with gid endpoints — the per-worker part of the router's distributed
-  /// HDBSCAN* merge (net kOpShardMrMst), run by the live-set DAG. Issues
-  /// parallel work; engine runs it on the build executor under the
-  /// exclusive lock.
-  std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
-    std::vector<WeightedEdge> mst = LiveSet().MutualReachMst(core);
-    for (WeightedEdge& e : mst) {
-      e.u = (*ids_dense_)[e.u];
-      e.v = (*ids_dense_)[e.v];
-    }
-    return mst;
   }
 
   /// Same contract as DatasetArtifacts::Answer.
@@ -430,7 +415,7 @@ class DynamicArtifacts {
     const std::vector<uint32_t>& gb = sb.live_gids();
     return CrossBccpEdges(
         ta, tb, [&](uint32_t i) { return ga[i]; },
-        [&](uint32_t j) { return gb[j]; }, /*mutual_reach=*/false);
+        [&](uint32_t j) { return gb[j]; });
   }
 
   /// Drops cross-tier cache entries that mention a content id no longer in
@@ -540,7 +525,7 @@ class DynamicArtifacts {
   EmstView emst_;
   uint64_t emst_epoch_ = kNoEpoch;
 
-  // Global tier: the live-set DAG (HDBSCAN*, kNN and MR-MST frames).
+  // Global tier: the live-set DAG (HDBSCAN* and kNN frames).
   std::unique_ptr<DatasetArtifacts<D>> live_;
 };
 

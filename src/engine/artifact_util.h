@@ -3,17 +3,14 @@
 // shard-forest cache (dynamic/artifacts.h) and the router's merged cache
 // over sharded workers (cluster/router.cc). AnswerQuery owns the one
 // validation order and error strings, label extraction and the response
-// fill; a backend supplies only its EMST and its per-minPts MR-MST. The
+// fill; a backend supplies only its EMST and its per-minPts MR-MST (the
+// latter two take it from a DatasetArtifacts over all their points). The
 // helpers below keep the build/reuse traces, the build:<key> trace spans
 // (one per artifact built, see README "Observability") and the dendrograms
 // identical across backends.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,10 +24,6 @@
 #include "obs/trace.h"
 
 namespace parhc {
-
-/// Upper bound on simultaneously cached per-minPts clusterings (MST +
-/// dendrogram + plot) per dataset; least-recently-used entries are evicted.
-inline constexpr size_t kMaxCachedClusterings = 8;
 
 /// Worker count at or above which artifact dendrograms use the parallel
 /// builder; below it the sequential builder wins (no Euler-tour overhead).
@@ -96,52 +89,11 @@ struct ClusteringView {
   std::shared_ptr<const ReachabilityPlot> plot;
 };
 
-/// A cached clustering plus its LRU stamp; slicing to ClusteringView
-/// copies the artifact pointers.
-struct ClusteringEntry : ClusteringView {
-  std::atomic<uint64_t> last_used{0};
-};
-
-/// Stamps `e` as most recently used against the backend's LRU clock. Safe
-/// on the read-only query path (atomics only).
-inline void TouchClusteringEntry(ClusteringEntry& e,
-                                 std::atomic<uint64_t>& clock) {
-  e.last_used.store(clock.fetch_add(1, std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-}
-
-/// Drops least-recently-used clustering entries beyond the cache cap,
-/// never the one just touched nor one `busy(min_pts)` says a builder is
-/// still extending. Snapshots held by responses stay valid. The matching
-/// derived core distances go too — they re-derive from the kNN rows in
-/// O(n) — so per-minPts memory really is bounded.
-template <typename Busy>
-void EvictLruClusterings(
-    std::map<int, std::shared_ptr<ClusteringEntry>>& entries,
-    std::map<int, std::shared_ptr<const std::vector<double>>>& core,
-    int keep_min_pts, const Busy& busy) {
-  while (entries.size() > kMaxCachedClusterings) {
-    auto victim = entries.end();
-    uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (auto it = entries.begin(); it != entries.end(); ++it) {
-      if (it->first == keep_min_pts || busy(it->first)) continue;
-      uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
-      if (used < oldest) {
-        oldest = used;
-        victim = it;
-      }
-    }
-    if (victim == entries.end()) return;
-    core.erase(victim->first);
-    entries.erase(victim);
-  }
-}
-
-/// Build-or-reuse step for one artifact derived from an MST (`sl-dendro`,
-/// `dendro@m`, `reach@m`) in a backend that serializes its builds: fills
-/// an empty `slot` from `build()` inside a build:<key> span and traces
-/// `key` as built, else as reused. Returns false iff the slot is empty
-/// and !allow_build.
+/// Build-or-reuse step for an artifact derived from an MST (the
+/// `sl-dendro` of the shard-forest and router EMSTs) in a backend that
+/// serializes its builds: fills an empty `slot` from `build()` inside a
+/// build:<key> span and traces `key` as built, else as reused. Returns
+/// false iff the slot is empty and !allow_build.
 template <typename T, typename Build>
 bool EnsureDerived(std::shared_ptr<const T>& slot, const std::string& key,
                    bool allow_build, EngineResponse* out,
@@ -155,54 +107,6 @@ bool EnsureDerived(std::shared_ptr<const T>& slot, const std::string& key,
   TraceArtifact(out, built, key);
   return true;
 }
-
-/// Per-minPts clusterings of a backend that serializes its builds (the
-/// router's merged cache): `core` holds cd@m, `entries` the mst@m
-/// entries, LRU-capped at kMaxCachedClusterings, each with its dendro@m
-/// and reach@m built on demand.
-struct ClusteringCache {
-  std::map<int, std::shared_ptr<const std::vector<double>>> core;
-  std::map<int, std::shared_ptr<ClusteringEntry>> entries;
-  std::atomic<uint64_t> clock{0};
-
-  /// AnswerQuery's clustering step over `n` points. A missing entry comes
-  /// from `build()`, run inside a build:mst@m span — core distances plus
-  /// MR-MST, or null after the backend set out->error. Returns false iff
-  /// something was missing and !allow_build.
-  template <typename Build>
-  bool View(int min_pts, bool need_plot, size_t n, bool allow_build,
-            EngineResponse* out, const Build& build, ClusteringView* view) {
-    const std::string suffix = "@" + std::to_string(min_pts);
-    auto it = entries.find(min_pts);
-    if (it == entries.end()) {
-      if (!allow_build) return false;
-      obs::Span span(BuildSpanName("mst" + suffix), "engine");
-      std::shared_ptr<ClusteringEntry> built = build();
-      span.End();
-      if (!built) return true;
-      TraceArtifact(out, /*built=*/true, "mst" + suffix);
-      it = entries.emplace(min_pts, std::move(built)).first;
-      EvictLruClusterings(entries, core, min_pts, [](int) { return false; });
-    } else {
-      TraceArtifact(out, /*built=*/false, "mst" + suffix);
-    }
-    ClusteringEntry& e = *it->second;
-    if (!EnsureDerived(e.dendrogram, "dendro" + suffix, allow_build, out,
-                       [&] { return BuildDendrogramArtifact(n, *e.mst); })) {
-      return false;
-    }
-    if (need_plot &&
-        !EnsureDerived(e.plot, "reach" + suffix, allow_build, out, [&] {
-          return std::make_shared<const ReachabilityPlot>(
-              ComputeReachability(*e.dendrogram));
-        })) {
-      return false;
-    }
-    TouchClusteringEntry(e, clock);
-    *view = e;
-    return true;
-  }
-};
 
 /// Answers `req` over a dataset of `n` live points: validates, asks the
 /// backend for the artifacts, then extracts labels and fills `out`.

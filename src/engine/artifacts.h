@@ -51,23 +51,26 @@
 // Queries go through AnswerQuery (engine/artifact_util.h), the validation
 // and response fill shared with the dynamic and router backends; this file
 // supplies the EMST and per-minPts MR-MST nodes, plus the eps EMST path
-// that only static datasets serve. The router's worker frames (kNN rows of
-// query points, MR-MST under global core distances) run on the cached
-// kd-tree too (KnnForQueries, MutualReachMst).
+// that only static datasets serve. A static dataset owns one DAG, a
+// dynamic set one over its live points, and the router one over its
+// mirror of a sharded set (cluster/merge.h), so HDBSCAN* runs here
+// wherever it is served. The kNN frame (rows of arbitrary query points,
+// which the router merges across workers) runs on the cached kd-tree too
+// (KnnForQueries).
 //
-// Thread safety (the shard forest around a dynamic set's DAG relies on the
-// engine's exclusive lock instead): every DAG node is a monitor-guarded state
-// machine absent -> building -> ready, run by Node(). A builder claims
-// the node's key in `building_` under `state_mu_`, runs the (possibly
-// long, parallel) build OUTSIDE the lock, installs the result, and
-// broadcasts `state_cv_`. Duplicate requests for the same node wait on
-// the condition variable and come back with the builder's shared_ptr —
-// exactly one build ever runs per node. Independent nodes (different
-// datasets' artifacts trivially, and e.g. dendro@3 vs mst@5 of one
-// dataset) build concurrently. The kNN matrix claims one key for every
-// width, so a narrower matrix never replaces a wider one. The one
-// cross-node constraint: MST-family builds (HdbscanMstOnTree /
-// EmstMemoGfkOnTree, MutualReachMst) rewrite the kd-tree's annotation
+// Thread safety (the shard forest around a dynamic set's DAG and the
+// router's mirror around its DAG rely on their owner's lock instead):
+// every DAG node is a monitor-guarded state machine absent -> building ->
+// ready, run by Node(). A builder claims the node's key in `building_`
+// under `state_mu_`, runs the (possibly long, parallel) build OUTSIDE the
+// lock, installs the result, and broadcasts `state_cv_`. Duplicate
+// requests for the same node wait on the condition variable and come back
+// with the builder's shared_ptr — exactly one build ever runs per node.
+// Independent nodes (different datasets' artifacts trivially, and e.g.
+// dendro@3 vs mst@5 of one dataset) build concurrently. The kNN matrix
+// claims one key for every width, so a narrower matrix never replaces a
+// wider one. The one cross-node constraint: MST-family builds
+// (HdbscanMstOnTree / EmstMemoGfkOnTree) rewrite the kd-tree's annotation
 // arrays (core-distance + component fields), so they serialize on
 // `tree_annot_mu_`; kNN search and snapshot writes read only the tree's
 // geometry and proceed concurrently. Answer(allow_build = false) is the
@@ -101,6 +104,10 @@
 #include "store/mapped_array.h"
 
 namespace parhc {
+
+/// Upper bound on simultaneously cached per-minPts clusterings (MST +
+/// dendrogram + plot) per dataset; least-recently-used entries are evicted.
+inline constexpr size_t kMaxCachedClusterings = 8;
 
 template <int D>
 class DatasetArtifacts {
@@ -165,18 +172,6 @@ class DatasetArtifacts {
     return KnnSquaredRows(*Tree(/*allow_build=*/true, &unused), queries, k);
   }
 
-  /// MR-MST of this set under externally supplied core distances (indexed
-  /// like points()), on the cached kd-tree; endpoints are point indices.
-  /// Issues parallel work.
-  std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
-    if (pts_.size() < 2) return {};
-    EngineResponse unused;
-    std::shared_ptr<KdTree<D>> tree = Tree(/*allow_build=*/true, &unused);
-    // MST builds rewrite the shared tree's annotation arrays.
-    std::lock_guard<std::mutex> annot(tree_annot_mu_);
-    return HdbscanMstOnTree(*tree, core);
-  }
-
   /// The per-minPts clustering, with the MST, dendrogram and (on demand)
   /// reachability plot copied into *view. Returns false iff something was
   /// missing and !allow_build.
@@ -199,11 +194,7 @@ class DatasetArtifacts {
           std::lock_guard<std::mutex> lk(state_mu_);
           hdbscan_.emplace(min_pts, entry);
           // Never evict an entry a dendrogram or plot builder is extending.
-          EvictLruClusterings(hdbscan_, core_, min_pts, [&](int m) {
-            const std::string at = "@" + std::to_string(m);
-            return building_.count("dendro" + at) != 0 ||
-                   building_.count("reach" + at) != 0;
-          });
+          EvictLruClusterings(min_pts);
           return entry;
         });
     if (!e) return false;
@@ -419,7 +410,45 @@ class DatasetArtifacts {
     std::string key_;
   };
 
-  void Touch(ClusteringEntry& e) { TouchClusteringEntry(e, clock_); }
+  /// A cached clustering plus its LRU stamp; slicing to ClusteringView
+  /// copies the artifact pointers.
+  struct ClusteringEntry : ClusteringView {
+    std::atomic<uint64_t> last_used{0};
+  };
+
+  /// Stamps `e` as most recently used. Safe on the read-only query path
+  /// (atomics only).
+  void Touch(ClusteringEntry& e) {
+    e.last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+  }
+
+  /// Drops least-recently-used clusterings beyond kMaxCachedClusterings
+  /// (under `state_mu_`), never `keep_min_pts` nor one whose dendrogram or
+  /// plot a builder is still extending. Snapshots held by responses stay
+  /// valid. The matching core distances go too — they re-derive from the
+  /// kNN prefixes in O(n) — so per-minPts memory really is bounded.
+  void EvictLruClusterings(int keep_min_pts) {
+    while (hdbscan_.size() > kMaxCachedClusterings) {
+      auto victim = hdbscan_.end();
+      uint64_t oldest = std::numeric_limits<uint64_t>::max();
+      for (auto it = hdbscan_.begin(); it != hdbscan_.end(); ++it) {
+        const std::string at = "@" + std::to_string(it->first);
+        if (it->first == keep_min_pts || building_.count("dendro" + at) != 0 ||
+            building_.count("reach" + at) != 0) {
+          continue;
+        }
+        uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
+        if (used < oldest) {
+          oldest = used;
+          victim = it;
+        }
+      }
+      if (victim == hdbscan_.end()) return;
+      core_.erase(victim->first);
+      hdbscan_.erase(victim);
+    }
+  }
 
   static void Trace(EngineResponse* out, bool built, const std::string& key) {
     TraceArtifact(out, built, key);

@@ -321,29 +321,6 @@ class ClusteringEngine {
     });
   }
 
-  /// MR-MST of dataset `name`'s live points under externally supplied
-  /// *global* core distances (core[i] pairs with the i-th live gid,
-  /// ascending); edge endpoints are global ids. Returns "" on success.
-  /// Thread-safe; runs as an executor task under the exclusive lock.
-  std::string ShardMrMst(const std::string& name,
-                         const std::vector<double>& core,
-                         std::vector<WeightedEdge>* edges) {
-    std::shared_ptr<DatasetEntryBase> entry = registry_.Find(name);
-    if (!entry) return "unknown dataset: " + name;
-    if (core.size() != entry->num_points()) {
-      return "core distance count does not match live point count";
-    }
-    return executor_.RunBuild([&]() -> std::string {
-      std::unique_lock<std::shared_mutex> write(entry->mu);
-      try {
-        *edges = entry->MutualReachMst(core);
-      } catch (const std::exception& e) {
-        return e.what();
-      }
-      return "";
-    });
-  }
-
   /// Wires the slow-query log that receives one build-profiler record per
   /// cold artifact build (obs/slowlog.h). Call before serving starts; the
   /// engine never owns the log.

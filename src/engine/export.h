@@ -1,15 +1,15 @@
 // Flat-row conversions behind the worker-side frame verbs that the router
 // tier (src/cluster/) fans out to (net/protocol.cc: point export, kNN rows
-// of query points, shard MR-MSTs). Frames carry points as row-major
-// doubles; the artifact backends take typed points.
+// of query points) and behind the router's mirror (cluster/merge.h).
+// Frames carry points as row-major doubles; the artifact backends take
+// typed points.
 //
-// The frames' kNN rows and MR-MST edges themselves come from
-// DatasetArtifacts::KnnForQueries / MutualReachMst (engine/artifacts.h) on
-// the set's cached kd-tree — a static set's own DAG, or the DAG a dynamic
-// set keeps over its live points (dynamic/artifacts.h) — which run the
-// same kernels as the single-node HDBSCAN* path (KnnSquaredRows in
-// spatial/knn.h, HdbscanMstOnTree); that is what makes the router's merged
-// answers bit-identical to a single node.
+// The frames' kNN rows come from DatasetArtifacts::KnnForQueries
+// (engine/artifacts.h) on the set's cached kd-tree — a static set's own
+// DAG, or the DAG a dynamic set keeps over its live points
+// (dynamic/artifacts.h) — which runs the single-node kNN kernel
+// (KnnSquaredRows in spatial/knn.h), so the router's merged rows are
+// bit-identical to a single node's.
 #pragma once
 
 #include <cstddef>

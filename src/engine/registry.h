@@ -72,12 +72,12 @@ class DatasetEntryBase {
   virtual void SaveTo(const std::string& dir) const = 0;
 
   // Partial-artifact export surface for the router tier (src/cluster/),
-  // behind the kOpExportPoints / kOpKnnQuery / kOpShardMrMst frame verbs.
-  // All three may lazily build caches (the dynamic backend's shard
-  // accessors mutate; the latter two build and reuse the kd-tree of the
-  // set's artifact DAG, for a dynamic set the DAG over its live points),
-  // so the engine calls them under the *exclusive* lock; the latter two
-  // issue parallel work and run on the build executor.
+  // behind the kOpExportPoints / kOpKnnQuery frame verbs. Both may lazily
+  // build caches (the dynamic backend's shard accessors mutate; the kNN
+  // frame builds and reuses the kd-tree of the set's artifact DAG, for a
+  // dynamic set the DAG over its live points), so the engine calls them
+  // under the *exclusive* lock; the kNN frame issues parallel work and
+  // runs on the build executor.
 
   /// Live points in ascending-global-id order: gids[i] and the matching
   /// dim() doubles at coords[i*dim()]. For immutable datasets gid == point
@@ -90,11 +90,6 @@ class DatasetEntryBase {
   /// the k nearest (self included when resident), +inf-padded.
   virtual std::vector<double> KnnForQueries(const std::vector<double>& coords,
                                             size_t count, size_t k) = 0;
-
-  /// MR-MST of the live points under externally supplied global core
-  /// distances (core[i] = i-th live gid ascending), gid endpoints.
-  virtual std::vector<WeightedEdge> MutualReachMst(
-      const std::vector<double>& core) = 0;
 
   // Batch-dynamic interface; the immutable backend rejects mutations.
   virtual bool is_dynamic() const { return false; }
@@ -162,11 +157,6 @@ class DatasetEntry final : public DatasetEntryBase {
                                     size_t count, size_t k) override {
     return artifacts_.KnnForQueries(
         engine_export::UnflattenRows<D>(coords, count), k);
-  }
-
-  std::vector<WeightedEdge> MutualReachMst(
-      const std::vector<double>& core) override {
-    return artifacts_.MutualReachMst(core);
   }
 
  private:
@@ -240,11 +230,6 @@ class DynamicDatasetEntry final : public DatasetEntryBase {
                                     size_t count, size_t k) override {
     return artifacts_.KnnForQueries(
         engine_export::UnflattenRows<D>(coords, count), k);
-  }
-
-  std::vector<WeightedEdge> MutualReachMst(
-      const std::vector<double>& core) override {
-    return artifacts_.MutualReachMst(core);
   }
 
  private:

@@ -68,11 +68,6 @@ enum FrameOpcode : uint8_t {
   /// Payload: u16 name_len, name bytes, u32 k, u16 dim, u32 count,
   /// count*dim f64 coords. Answered with kOpKnnReply.
   kOpKnnQuery = 0x14,
-  /// MR-MST under externally supplied (global) core distances. Payload:
-  /// u16 name_len, name bytes, u32 count (= live points), count f64 core
-  /// distances in ascending-gid order. Answered with kOpEdgesReply; edge
-  /// endpoints are the worker's gids.
-  kOpShardMrMst = 0x15,
   /// Labels reply. Payload: u32 count, count * i32 labels in dense point
   /// order (for dynamic datasets dense index i is the i-th live global id
   /// in ascending order; -1 = noise).

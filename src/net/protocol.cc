@@ -610,31 +610,6 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
       PutU32(&reply, f.k);
       for (double v : rows) PutF64(&reply, v);
       out = EncodeFrame(kOpKnnReply, reply);
-    } else if (opcode == kOpShardMrMst) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || name.empty() ||
-          rd.remaining() != static_cast<size_t>(count) * sizeof(double)) {
-        out = "err mrmst: malformed frame payload\n";
-        return res;
-      }
-      std::vector<double> core(count);
-      for (double& v : core) v = rd.GetF64();
-      std::vector<WeightedEdge> edges;
-      std::string err = engine_.ShardMrMst(name, core, &edges);
-      if (!err.empty()) {
-        out = StrPrintf("err mrmst %s: %s\n", name.c_str(), err.c_str());
-        return res;
-      }
-      std::string reply;
-      reply.reserve(4 + edges.size() * 16);
-      PutU32(&reply, static_cast<uint32_t>(edges.size()));
-      for (const WeightedEdge& e : edges) {
-        PutU32(&reply, e.u);
-        PutU32(&reply, e.v);
-        PutF64(&reply, e.w);
-      }
-      out = EncodeFrame(kOpEdgesReply, reply);
     } else {
       out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);
     }

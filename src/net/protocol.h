@@ -100,7 +100,7 @@ namespace net {
 /// netserver banner. Bump on any incompatible change to the request
 /// language or frame payloads; the router refuses upstreams whose hello
 /// reports a different version (src/cluster/upstream.h).
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 
 // ---- The parser (parse.cc) ----
 

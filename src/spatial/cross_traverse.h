@@ -9,13 +9,11 @@
 // the EMST of a union of parts is contained in the union of the parts'
 // EMSTs plus cross-part candidate edges; the cross candidates are exactly
 // the BCCP edges of a well-separated decomposition *between* the two trees
-// (s = 2, the classical GFK argument applied pairwise). The same cycle-rule
-// argument works for any strictly totally ordered weight function, which is
-// how the mutual-reachability variant (CrossBccpStar with globally computed
-// core distances) keeps the router's distributed HDBSCAN* merge exact. That
-// variant serves only the router: the shard forest runs HDBSCAN* on one
-// kd-tree over its live points (dynamic/artifacts.h), because mutual-
-// reachability cross edges cannot be cached across core-distance epochs.
+// (s = 2, the classical GFK argument applied pairwise). The same argument
+// holds for mutual reachability, but only the EMST gains from cached
+// parts: mutual-reachability weights change with every core-distance
+// epoch, so the shard forest and the router run HDBSCAN* on one kd-tree
+// over all their points (the static artifact DAG, engine/artifacts.h).
 //
 // Both engines keep the two arenas positionally distinct — the first index
 // always addresses `ta`, the second `tb` — and split the node with the
@@ -95,7 +93,7 @@ void CrossDualTraverse(const KdTree<D>& ta, const KdTree<D>& tb,
 /// Cross candidate edges between two trees: one edge per s = 2
 /// well-separated cross pair (and per overlapping leaf pair), produced by
 /// `edge_fn(a, b, separated) -> WeightedEdge` — typically the pair's
-/// CrossBccp or CrossBccpStar edge. `edge_fn` runs concurrently.
+/// CrossBccp edge. `edge_fn` runs concurrently.
 template <int D, typename EdgeFn>
 std::vector<WeightedEdge> CrossWspdEdges(const KdTree<D>& ta,
                                          const KdTree<D>& tb,
@@ -140,30 +138,6 @@ void CrossDualMinTraverse(const KdTree<D>& ta, const KdTree<D>& tb,
   }
 }
 
-namespace internal {
-
-// Deterministic tie-breaking on (dist, min global id, max global id): ids
-// come from the caller's mapping so cross-shard ties resolve exactly as a
-// from-scratch build over the union would.
-template <int D, typename PairDist, typename IdA, typename IdB>
-void CrossBccpLeafScan(const KdTree<D>& ta, const KdTree<D>& tb, uint32_t a,
-                       uint32_t b, const PairDist& pair_dist, const IdA& ida,
-                       const IdB& idb, ClosestPair& best) {
-  for (uint32_t i = ta.NodeBegin(a); i < ta.NodeEnd(a); ++i) {
-    for (uint32_t j = tb.NodeBegin(b); j < tb.NodeEnd(b); ++j) {
-      double d = pair_dist(i, j);
-      uint32_t u = ida(ta.id(i)), v = idb(tb.id(j));
-      if (d < best.dist ||
-          (d == best.dist &&
-           std::minmax(u, v) < std::minmax(best.u, best.v))) {
-        best = {u, v, d};
-      }
-    }
-  }
-}
-
-}  // namespace internal
-
 /// Exact closest pair between the point sets of node `a` of `ta` and node
 /// `b` of `tb`. `ida` / `idb` map each tree's point ids to global ids; the
 /// returned pair carries global ids.
@@ -191,52 +165,15 @@ ClosestPair CrossBccp(const KdTree<D>& ta, const KdTree<D>& tb, uint32_t a,
   return best;
 }
 
-/// Exact closest pair under mutual reachability distance between two trees
-/// (cross-slice BCCP*). Both trees must have core distances annotated — with
-/// *globally* computed core distances for the router merge's exactness.
-template <int D, typename IdA, typename IdB>
-ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
-                          uint32_t a, uint32_t b, const IdA& ida,
-                          const IdB& idb) {
-  PARHC_DCHECK(ta.has_core_dists() && tb.has_core_dists());
-  ClosestPair best;
-  uint64_t distances = 0;
-  CrossDualMinTraverse(
-      ta, tb, a, b,
-      [&](uint32_t x, uint32_t y) {
-        double lb = std::max(
-            {std::sqrt(ta.NodeBox(x).MinSquaredDistance(tb.NodeBox(y))),
-             ta.CdMin(x), tb.CdMin(y)});
-        return lb >= best.dist;
-      },
-      [&](uint32_t x, uint32_t y) {
-        return ta.NodeBox(x).MinSquaredDistance(tb.NodeBox(y));
-      },
-      [&](uint32_t x, uint32_t y) {
-        distances += uint64_t{ta.NodeSize(x)} * tb.NodeSize(y);
-        internal::CrossBccpLeafScan(
-            ta, tb, x, y,
-            [&](uint32_t i, uint32_t j) {
-              return std::max({DistanceDispatch(ta.point(i), tb.point(j)),
-                               ta.core_dist(i), tb.core_dist(j)});
-            },
-            ida, idb, best);
-      });
-  internal::CountBccp(distances);
-  return best;
-}
-
-/// CrossWspdEdges with each cross pair's exact closest pair: its CrossBccp
-/// edge, or with `mutual_reach` (the router's MR-MST merge) its
-/// CrossBccpStar edge (both trees then carry core distances). `ida` /
-/// `idb` map tree point ids to the global ids the edges carry.
+/// CrossWspdEdges with each cross pair's exact closest pair (its CrossBccp
+/// edge). `ida` / `idb` map tree point ids to the global ids the edges
+/// carry.
 template <int D, typename IdA, typename IdB>
 std::vector<WeightedEdge> CrossBccpEdges(const KdTree<D>& ta,
                                          const KdTree<D>& tb, const IdA& ida,
-                                         const IdB& idb, bool mutual_reach) {
+                                         const IdB& idb) {
   return CrossWspdEdges(ta, tb, [&](uint32_t a, uint32_t b, bool) {
-    ClosestPair cp = mutual_reach ? CrossBccpStar(ta, tb, a, b, ida, idb)
-                                  : CrossBccp(ta, tb, a, b, ida, idb);
+    ClosestPair cp = CrossBccp(ta, tb, a, b, ida, idb);
     return WeightedEdge{cp.u, cp.v, cp.dist};
   });
 }

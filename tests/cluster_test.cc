@@ -281,6 +281,21 @@ void CheckLabelsFrame(Router& router, ClusteringEngine& ref_engine,
   EXPECT_EQ(labels, r.labels);
 }
 
+/// A kOpKnnQuery frame: `queries` holds dim-wide rows.
+net::WireMessage KnnFrame(const std::string& name, uint32_t k,
+                          const std::vector<double>& queries, int dim) {
+  net::WireMessage msg;
+  msg.binary = true;
+  msg.opcode = net::kOpKnnQuery;
+  net::PutU16(&msg.payload, static_cast<uint16_t>(name.size()));
+  msg.payload += name;
+  net::PutU32(&msg.payload, k);
+  net::PutU16(&msg.payload, static_cast<uint16_t>(dim));
+  net::PutU32(&msg.payload, static_cast<uint32_t>(queries.size() / dim));
+  for (double v : queries) net::PutF64(&msg.payload, v);
+  return msg;
+}
+
 /// Client-facing kNN via the binary frame path: the router fans the query
 /// frame to every owning worker and k-way merges the rows; the reply must
 /// byte-match the single-node session (same opcode, count, k, and every
@@ -288,17 +303,7 @@ void CheckLabelsFrame(Router& router, ClusteringEngine& ref_engine,
 void CheckKnnFrame(Router& router, net::ProtocolSession& ref,
                    const std::string& name, uint32_t k,
                    const std::vector<double>& queries, int dim) {
-  std::string payload;
-  net::PutU16(&payload, static_cast<uint16_t>(name.size()));
-  payload += name;
-  net::PutU32(&payload, k);
-  net::PutU16(&payload, static_cast<uint16_t>(dim));
-  net::PutU32(&payload, static_cast<uint32_t>(queries.size() / dim));
-  for (double v : queries) net::PutF64(&payload, v);
-  net::WireMessage msg;
-  msg.binary = true;
-  msg.opcode = net::kOpKnnQuery;
-  msg.payload = payload;
+  net::WireMessage msg = KnnFrame(name, k, queries, dim);
   std::string got = router.Handle(msg, NoTiming()).out;
   std::string want = ref.Handle(msg).out;
   ASSERT_GT(want.size(), net::kFrameHeaderBytes);
@@ -371,11 +376,16 @@ TEST(Router, ShardedAnswersBitMatchSingleNodeAcrossMutationsAndRestart) {
       w2->Stop();
       router.HealthPassNow(1000);  // ping fails -> marked down
       EXPECT_EQ(router.pool().HealthyCount(), 2u);
-      // A query that must touch the dead owner fails loudly. (An
-      // artifact already merged at this epoch may still serve — m=50
-      // exceeds every kNN width built so far, forcing a fresh fan-out.)
-      std::string down = Ask(router, "hdbscan s 50");
-      EXPECT_EQ(down.rfind("err hdbscan s: worker ", 0), 0u) << down;
+      // A read that must touch the dead owner fails loudly: a client kNN
+      // frame fans out to every owner.
+      std::string down =
+          router.Handle(KnnFrame("s", 3, {0.5, 0.5}, 2), NoTiming()).out;
+      EXPECT_EQ(down, "err knn s: worker 127.0.0.1:" + std::to_string(port) +
+                          " is unhealthy\n");
+      // Clustering reads need no worker once this epoch's mirror is
+      // exported: m=50 exceeds every kNN width built so far and still
+      // answers, from the mirror's DAG.
+      oracle.Check("hdbscan s 50");
 
       w2 = std::make_unique<Worker>(port);  // fresh engine, same address
       router.HealthPassNow(5000);  // backoff expired -> reconnect + reseed
@@ -398,6 +408,55 @@ TEST(Router, ShardedAnswersBitMatchSingleNodeAcrossMutationsAndRestart) {
   oracle.Check("emst s eps 0.5");          // eps EMST is static-only
 
   EXPECT_EQ(Ask(router, "drop s"), ref.HandleLine("drop s").out);
+}
+
+/// Round trips each upstream has attempted so far.
+std::vector<uint64_t> UpstreamRequests(Router& router) {
+  std::vector<uint64_t> out;
+  for (size_t w = 0; w < router.pool().size(); ++w) {
+    out.push_back(router.pool().at(w).counters().requests.load());
+  }
+  return out;
+}
+
+// Once a read has exported the mirror of the current epoch, every
+// clustering read runs on the mirror's artifact DAG: minPts wider and
+// narrower than any built so far answer like the single node without one
+// more upstream round trip.
+TEST(Router, ShardedClusteringReadsRunOnTheMirror) {
+  Worker w1, w2;
+  Router router({w1.addr(), w2.addr()}, NoHealth());
+  ASSERT_EQ(router.Start(), "");
+  ClusteringEngine ref_engine;
+  net::ProtocolSession ref(ref_engine, NoTiming());
+  Oracle oracle(router, ref);
+
+  oracle.Check("dyn s 2");
+  oracle.Check("geninsert s 2 varden 300 5");
+  oracle.Check("delete s 3 14 15 92");
+  std::string first = Ask(router, "hdbscan s 5");
+  EXPECT_NE(first.find(" built=[mirror,tree,knn@5,cd@5,mst@5,dendro@5]"),
+            std::string::npos)
+      << first;
+  EXPECT_EQ(StripArtifacts(first),
+            StripArtifacts(ref.HandleLine("hdbscan s 5").out));
+
+  std::vector<uint64_t> before = UpstreamRequests(router);
+  oracle.Check("hdbscan s 9");
+  oracle.Check("reach s 3");
+  oracle.Check("clusters s 12 4");
+  oracle.Check("dbscan s 6 0.1");
+  CheckLabelsFrame(router, ref_engine, "s", 7, 0.08);
+  EXPECT_EQ(UpstreamRequests(router), before);
+
+  // One- and three-point sets run through the same DAG.
+  oracle.Check("dyn t 2");
+  oracle.Check("insert t 0.5 0.25");
+  oracle.Check("hdbscan t 1");
+  oracle.Check("insert t 0.125 0.75 0.875 0.5");
+  oracle.Check("hdbscan t 2");
+  oracle.Check("reach t 3");
+  oracle.Check("clusters t 2 2");
 }
 
 TEST(Router, ShardedSaveLoadServesWarmAcrossRouterRestart) {

@@ -66,38 +66,6 @@ TEST(CrossTraverse, CrossBccpMatchesBruteForce) {
   EXPECT_EQ(std::minmax(got.u, got.v), std::minmax(want.u, want.v));
 }
 
-TEST(CrossTraverse, CrossBccpStarMatchesBruteForce) {
-  auto a = test::RandomPoints<3>(150, 11);
-  auto b = test::RandomPoints<3>(180, 12);
-  // Global core distances over the union, as the shard forest computes them.
-  std::vector<Point<3>> all(a);
-  all.insert(all.end(), b.begin(), b.end());
-  auto cd = test::BruteCoreDistances(all, 5);
-  KdTree<3> ta(a, 1), tb(b, 1);
-  std::vector<double> cda(cd.begin(), cd.begin() + a.size());
-  std::vector<double> cdb(cd.begin() + a.size(), cd.end());
-  // Annotate in each tree's local id space (tree ids index a / b).
-  ta.AnnotateCoreDistances(cda);
-  tb.AnnotateCoreDistances(cdb);
-  auto ida = [&](uint32_t i) { return i; };
-  auto idb = [&](uint32_t j) { return j + static_cast<uint32_t>(a.size()); };
-  ClosestPair got = CrossBccpStar(ta, tb, ta.root(), tb.root(), ida, idb);
-  ClosestPair want;
-  for (uint32_t i = 0; i < a.size(); ++i) {
-    for (uint32_t j = 0; j < b.size(); ++j) {
-      double d = std::max({Distance(a[i], b[j]), cda[i], cdb[j]});
-      uint32_t v = j + static_cast<uint32_t>(a.size());
-      if (d < want.dist ||
-          (d == want.dist &&
-           std::minmax(i, v) < std::minmax(want.u, want.v))) {
-        want = {i, v, d};
-      }
-    }
-  }
-  EXPECT_EQ(got.dist, want.dist);
-  EXPECT_EQ(std::minmax(got.u, got.v), std::minmax(want.u, want.v));
-}
-
 // --- Shard forest mechanics ---------------------------------------------
 
 TEST(ShardForest, GeometricMergeBoundsShardCount) {

@@ -661,11 +661,11 @@ TEST(EngineConcurrency, RemoveWhileQueriesInFlight) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// The router's worker frames (kOpKnnQuery, kOpShardMrMst) on a static set
-// and on a dynamic set over the same live points: both run on their set's
-// artifact DAG (a dynamic set's DAG over its live points, in ascending-gid
-// order), so rows and edges are bit-identical, the dynamic edges carrying
-// gids where the static ones carry point indices.
+// The kNN frame (kOpKnnQuery, which the router fans out) and HDBSCAN* on a
+// static set and on a dynamic set over the same live points: both run on
+// their set's artifact DAG (a dynamic set's DAG over its live points, in
+// ascending-gid order), so rows, core distances and MR-MST edges are
+// bit-identical, the dynamic set mapping its dense indices to gids.
 TEST(EngineFrames, StaticAndDynamicSetsAnswerFramesIdentically) {
   auto all = SeedSpreaderVarden<2>(900, 91, 3);
   ClusteringEngine engine;
@@ -715,32 +715,27 @@ TEST(EngineFrames, StaticAndDynamicSetsAnswerFramesIdentically) {
     }
   }
 
-  // Global core distances, as the router would merge them: the static
-  // set's own minPts-6 column.
   EngineRequest req;
   req.dataset = "s";
   req.type = QueryType::kHdbscan;
   req.min_pts = 6;
   EngineResponse hs = engine.Run(req);
+  req.dataset = "d";
+  EngineResponse hd = engine.Run(req);
   ASSERT_TRUE(hs.ok) << hs.error;
-  std::vector<WeightedEdge> mst_s, mst_d;
-  ASSERT_EQ(engine.ShardMrMst("s", *hs.core_dist, &mst_s), "");
-  ASSERT_EQ(engine.ShardMrMst("d", *hs.core_dist, &mst_d), "");
-  ASSERT_EQ(mst_s.size(), live.size() - 1);
-  for (WeightedEdge& e : mst_s) {
-    e.u = live_gids[e.u];
-    e.v = live_gids[e.v];
-  }
+  ASSERT_TRUE(hd.ok) << hd.error;
+  ASSERT_EQ(hs.mst->size(), live.size() - 1);
+  EXPECT_EQ(*hd.point_ids, live_gids);
+  EXPECT_EQ(*hd.core_dist, *hs.core_dist);
+  std::vector<WeightedEdge> mst_s = *hs.mst, mst_d = *hd.mst;
   std::sort(mst_s.begin(), mst_s.end());
   std::sort(mst_d.begin(), mst_d.end());
   EXPECT_EQ(mst_s, mst_d);
-  // The frame MR-MST on the cached tree equals the query path's MR-MST.
-  EXPECT_EQ(SortedWeights(mst_d), SortedWeights(*hs.mst));
 }
 
-// Frames and queries on a dynamic set with no or one live point answer as
-// the shard forest always did: +inf rows, no MR-MST edges, and the empty
-// set's queries fail with "dataset is empty".
+// kNN frames and queries on a dynamic set with no or one live point answer
+// as the shard forest always did: +inf rows, no MR-MST edges, and the
+// empty set's queries fail with "dataset is empty".
 TEST(EngineFrames, EmptyAndSinglePointDynamicSets) {
   ClusteringEngine engine;
   ASSERT_EQ(engine.registry().TryAddDynamic("d", 2), "");
@@ -749,9 +744,6 @@ TEST(EngineFrames, EmptyAndSinglePointDynamicSets) {
   std::vector<double> rows;
   ASSERT_EQ(engine.KnnForQueries("d", 3, coords, 2, &rows), "");
   EXPECT_EQ(rows, std::vector<double>(6, inf));
-  std::vector<WeightedEdge> edges = {WeightedEdge{0, 1, 1.0}};
-  ASSERT_EQ(engine.ShardMrMst("d", {}, &edges), "");
-  EXPECT_TRUE(edges.empty());
   EngineRequest req;
   req.dataset = "d";
   req.type = QueryType::kHdbscan;
@@ -765,8 +757,6 @@ TEST(EngineFrames, EmptyAndSinglePointDynamicSets) {
   ASSERT_EQ(engine.DeleteBatch("d", {first + 1}), "");
   ASSERT_EQ(engine.KnnForQueries("d", 3, coords, 2, &rows), "");
   EXPECT_EQ(rows, (std::vector<double>{0.0, inf, inf, 18.5, inf, inf}));
-  ASSERT_EQ(engine.ShardMrMst("d", {0.0}, &edges), "");
-  EXPECT_TRUE(edges.empty());
   r = engine.Run(req);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.mst->empty());
