@@ -1,5 +1,5 @@
 // Router-tier benchmarks (src/cluster/): replica fan-out throughput and
-// distributed-merge correctness/cost against a single-node engine.
+// sharded-read correctness/cost against a single-node engine.
 //
 // RouterFanout/replicas:R — R in-process parhc_netserver workers behind
 // one router front-end, all serving the same replicated warm dataset
@@ -14,17 +14,15 @@
 // applies on multi-core hardware (README "Multi-node serving").
 //
 // RouterShardedMerge/workers:2 — a sharded dataset split across two
-// workers by the placement map; the router mirrors the points, merges the
-// EMST (per-shard MSTs + cross-shard BCCP edges under the same
-// distance-decomposition Kruskal rule as src/dynamic/) and runs HDBSCAN*
-// on the static artifact DAG over its mirror, and the answers are
-// compared against a single-node engine over the union with
-// built=/reused= tokens stripped (artifact cache keys legitimately
+// workers by the placement map; the router mirrors the points and runs
+// HDBSCAN* and the EMST on the static artifact DAG over its mirror, and
+// the answers are compared against a single-node engine over the union
+// with built=/reused= tokens stripped (artifact cache keys legitimately
 // differ across tiers; everything else must match byte-for-byte —
-// `identical`, gated == 1). `dist_vs_single` (distributed cold-build
-// wall over single-node cold-build wall) is informational: on one
-// machine the distributed path adds the mirror export and fan-out round
-// trips on top of the same compute, so it is expected to be > 1 there.
+// `identical`, gated == 1). `dist_vs_single` (router cold-build wall
+// over single-node cold-build wall) is informational: on one machine the
+// router adds the mirror export round trips on top of the same compute,
+// so it is expected to be > 1 there.
 //
 // CI runs a small-N smoke via bench_router_smoke, emitting
 // BENCH_router_fanout.json for the bench-regression gate.

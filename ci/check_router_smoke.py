@@ -7,15 +7,14 @@ one extra parhc_netserver as the single-node reference (all with
 --no-timing on ephemeral ports), then runs this script. It drives the
 same verb sequence over both TCP endpoints — a replicated dataset (gen +
 read fan-out), then a sharded one (dyn/geninsert/insert/delete, the EMST
-merged across workers, HDBSCAN* on the router's mirror, including a
-minPts sweep that widens and narrows the kNN width) — and asserts every
-reply matches the reference byte-for-byte after dropping the
-built=/reused= introspection tokens (the router's merged-artifact cache
-keys legitimately differ from a single-node engine's; see README
-"Multi-node serving"). Invalid requests, malformed tokens included, must
-answer the reference's exact `err` line; so must a `geninsert` into the
-sharded set at another dimension, which the router rejects itself before
-any worker sees it.
+and HDBSCAN* on the router's mirror, including a minPts sweep that
+widens and narrows the kNN width) — and asserts every reply matches the
+reference byte-for-byte after dropping the built=/reused= introspection
+tokens (the router's mirror artifact keys legitimately differ from a
+single-node engine's; see README "Multi-node serving"). Invalid
+requests, malformed tokens included, must answer the reference's exact
+`err` line; so must a `geninsert` into the sharded set at another
+dimension, which the router rejects itself before any worker sees it.
 
 Usage: check_router_smoke.py --router PORT --reference PORT
 """
@@ -78,7 +77,7 @@ SCRIPT = [
     "dyn s 2",                      # sharded: split across the workers
     "geninsert s 2 varden 3000 7",
     "hdbscan s 10",                 # mirror export + the mirror's DAG
-    "emst s",                       # distributed EMST merge
+    "emst s",                       # EMST on the mirror's DAG
     "insert s 0.1 0.2 0.9 0.8",
     "emst s",
     "delete s 0 5 17",

@@ -3,9 +3,10 @@
 // Fronts N parhc_netserver workers with the same wire protocol the
 // workers speak, so single-node clients work unchanged: replicated
 // datasets (gen/load) fan reads out round-robin for throughput, sharded
-// datasets (dyn/geninsert) run distributed EMST / HDBSCAN* builds whose
-// answers are bit-identical to a single-node engine over the union. See
-// src/cluster/router.h and README "Multi-node serving".
+// datasets (dyn/geninsert) answer EMST / HDBSCAN* reads on a per-epoch
+// mirror of the workers' slices, bit-identically to a single-node engine
+// over the union. See src/cluster/router.h and README "Multi-node
+// serving".
 //
 // Usage: parhc_router --upstream HOST:PORT [--upstream HOST:PORT ...]
 //   --port N        listen port (default 7078; 0 = ephemeral)

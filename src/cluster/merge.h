@@ -1,22 +1,13 @@
-// The router's per-epoch mirror of a sharded dataset and its merge
-// kernels.
+// The router's per-epoch mirror of a sharded dataset and its kNN merge.
 //
-// EMST: the router treats each worker's slice like the batch-dynamic
-// backend (src/dynamic/) treats one of its LSM shards. By the distance-
-// decomposition rule, the MST of the union is contained in the union of
-// the per-slice MSTs (computed worker-side by the kOpExportMst frame verb)
-// plus one closest-pair edge per well-separated cross pair (s = 2)
-// *between* slices — computed here over router-built kd-trees by the shard
-// forest's own cross step (CrossBccpEdges in spatial/cross_traverse.h,
-// with global-id tie-breaks), so the Kruskal run over the merged
-// candidates reproduces the single-node MST bit for bit.
-//
-// HDBSCAN* gains nothing from cached parts (mutual-reachability weights
-// change with every core-distance epoch), so the mirror holds one static
-// artifact DAG (engine/artifacts.h) over all mirrored points in dense
-// (ascending gid) order, exactly as a single node's shard forest does over
-// its live set: the same points in the same order through the same DAG, so
-// core distances, MR-MSTs, dendrograms and labels are the single node's.
+// The mirror holds one static artifact DAG (engine/artifacts.h) over all
+// mirrored points in dense (ascending gid) order, exactly as a single
+// node's shard forest holds one over its live set: the same points in the
+// same order through the same DAG, so core distances, MR-MSTs, dendrograms
+// and labels are the single node's, bit for bit. The DAG's EMST (MemoGFK
+// on its kd-tree) is edge-identical to the shard forest's EMST, which
+// DynamicOracle.EmstExactAfterEveryInsertAndDeleteBatch holds against a
+// from-scratch MemoGFK over the live points in gid order.
 //
 // Client kNN frames fan out unchanged and merge with MergeKnnRows (the k
 // smallest of a union is the merge of the parts' k smallest).
@@ -25,7 +16,7 @@
 // worker group (the router wraps them in its BuildExecutor).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -33,38 +24,24 @@
 #include "engine/artifacts.h"
 #include "engine/export.h"
 #include "engine/registry.h"  // PARHC_FOR_EACH_DIM
-#include "graph/edge.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
-#include "spatial/cross_traverse.h"
 
 namespace parhc {
 namespace cluster {
 
-/// One worker's slice of a sharded dataset, in the worker's ascending-gid
-/// order. `dense[l]` is the dense union index (ascending global gid over
-/// live points) of the worker's l-th live point.
-struct WorkerSlice {
-  std::vector<uint32_t> dense;
-  std::vector<double> coords;  ///< flattened row-major, same order
-};
-
-/// Type-erased per-dimension mirror state: kd-trees over each worker's
-/// slice for the EMST's cross traversal, and the artifact DAG over the
-/// whole mirror for HDBSCAN*.
+/// Type-erased per-dimension mirror: the artifact DAG over every mirrored
+/// point. Both steps build what is missing.
 class MergerBase {
  public:
   virtual ~MergerBase() = default;
 
-  /// (Re)builds the per-slice trees and a fresh DAG over the `n` mirrored
-  /// points (slices partition the dense indices [0, n); they may be empty).
-  virtual void SetWorkers(const std::vector<WorkerSlice>& slices, size_t n) = 0;
-
-  /// Cross-slice Euclidean BCCP candidate edges, dense-index endpoints.
-  virtual std::vector<WeightedEdge> CrossEmstEdges() = 0;
+  /// AnswerQuery's EMST step on the mirror's DAG (see
+  /// DatasetArtifacts::Emst).
+  virtual bool Emst(bool need_dendro, EngineResponse* out, EmstView* view) = 0;
 
   /// AnswerQuery's clustering step on the mirror's DAG (see
-  /// DatasetArtifacts::Clustering), building what is missing.
+  /// DatasetArtifacts::Clustering).
   virtual bool Clustering(int min_pts, bool need_plot, EngineResponse* out,
                           ClusteringView* view) = 0;
 };
@@ -72,57 +49,31 @@ class MergerBase {
 template <int D>
 class Merger : public MergerBase {
  public:
-  void SetWorkers(const std::vector<WorkerSlice>& slices, size_t n) override {
-    trees_.clear();
-    dense_.clear();
-    std::vector<Point<D>> mirror(n);
-    for (const WorkerSlice& s : slices) {
-      dense_.push_back(s.dense);
-      if (s.dense.empty()) {
-        trees_.emplace_back(nullptr);
-        continue;
-      }
-      std::vector<Point<D>> pts =
-          engine_export::UnflattenRows<D>(s.coords, s.dense.size());
-      for (size_t l = 0; l < pts.size(); ++l) mirror[s.dense[l]] = pts[l];
-      trees_.emplace_back(new KdTree<D>(pts, /*leaf_size=*/1));
-    }
-    mirror_ = std::make_unique<DatasetArtifacts<D>>(std::move(mirror));
-  }
+  explicit Merger(std::vector<Point<D>> pts) : mirror_(std::move(pts)) {}
 
-  std::vector<WeightedEdge> CrossEmstEdges() override {
-    std::vector<WeightedEdge> out;
-    for (size_t i = 0; i < trees_.size(); ++i) {
-      for (size_t j = i + 1; j < trees_.size(); ++j) {
-        if (trees_[i] == nullptr || trees_[j] == nullptr) continue;
-        const std::vector<uint32_t>& da = dense_[i];
-        const std::vector<uint32_t>& db = dense_[j];
-        std::vector<WeightedEdge> edges = CrossBccpEdges(
-            *trees_[i], *trees_[j], [&](uint32_t t) { return da[t]; },
-            [&](uint32_t t) { return db[t]; });
-        out.insert(out.end(), edges.begin(), edges.end());
-      }
-    }
-    return out;
+  bool Emst(bool need_dendro, EngineResponse* out, EmstView* view) override {
+    return mirror_.Emst(need_dendro, /*allow_build=*/true, out, view);
   }
 
   bool Clustering(int min_pts, bool need_plot, EngineResponse* out,
                   ClusteringView* view) override {
-    return mirror_->Clustering(min_pts, need_plot, /*allow_build=*/true, out,
-                               view);
+    return mirror_.Clustering(min_pts, need_plot, /*allow_build=*/true, out,
+                              view);
   }
 
  private:
-  std::vector<std::unique_ptr<KdTree<D>>> trees_;
-  std::vector<std::vector<uint32_t>> dense_;
-  std::unique_ptr<DatasetArtifacts<D>> mirror_;
+  DatasetArtifacts<D> mirror_;
 };
 
-inline std::unique_ptr<MergerBase> MakeMerger(int dim) {
+/// The mirror of `n` points whose coordinates `coords` holds row-major in
+/// dense order; null when no instantiation covers `dim`.
+inline std::unique_ptr<MergerBase> MakeMerger(
+    int dim, const std::vector<double>& coords, size_t n) {
   switch (dim) {
-#define PARHC_CLUSTER_MERGER_CASE(D) \
-  case D:                            \
-    return std::unique_ptr<MergerBase>(new Merger<D>());
+#define PARHC_CLUSTER_MERGER_CASE(D)    \
+  case D:                               \
+    return std::make_unique<Merger<D>>( \
+        engine_export::UnflattenRows<D>(coords, n));
     PARHC_FOR_EACH_DIM(PARHC_CLUSTER_MERGER_CASE)
 #undef PARHC_CLUSTER_MERGER_CASE
     default:

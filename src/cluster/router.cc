@@ -14,10 +14,8 @@
 #include <set>
 #include <string_view>
 
-#include "graph/kruskal.h"
 #include "obs/trace.h"
 #include "store/manifest.h"
-#include "util/check.h"
 
 namespace parhc {
 namespace cluster {
@@ -47,19 +45,6 @@ net::WireMessage TextMessage(std::string_view line) {
   net::WireMessage msg;
   msg.text = line;
   return msg;
-}
-
-/// Dense index of a worker-local gid via the slice's ascending-local
-/// array (edge endpoints arrive as worker-local gids; slices are small
-/// enough that a binary search per endpoint is in the noise next to the
-/// network round trip).
-bool DenseOfLocal(const std::vector<uint32_t>& worker_local,
-                  const std::vector<uint32_t>& worker_dense, uint32_t local,
-                  uint32_t* dense) {
-  auto it = std::lower_bound(worker_local.begin(), worker_local.end(), local);
-  if (it == worker_local.end() || *it != local) return false;
-  *dense = worker_dense[static_cast<size_t>(it - worker_local.begin())];
-  return true;
 }
 
 }  // namespace
@@ -421,25 +406,22 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
     TraceArtifact(out, /*built=*/false, "mirror");
     return true;
   }
-  auto merged = std::make_unique<Merged>();
-  merged->epoch = ds.epoch;
   size_t w_count = pool_.size();
   size_t n = ds.live_n;
   int dim = ds.dim;
 
   // Expected slice of every worker, straight from the placement map: pairs
-  // (worker-local gid, global gid) pushed in ascending-global order. Local
+  // (worker-local gid, dense index) pushed in ascending-global order. Local
   // gids grow monotonically with global gids per worker, so this is also
   // ascending-local — the order ExportLive replies in.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> expect(w_count);
-  std::vector<uint32_t> dense_of(ds.map.next_gid, 0);
   auto dense_gids = std::make_shared<std::vector<uint32_t>>();
   dense_gids->reserve(n);
   for (uint32_t g = 0; g < ds.map.next_gid; ++g) {
     if (ds.map.dead[g]) continue;
-    dense_of[g] = static_cast<uint32_t>(dense_gids->size());
+    expect[ds.map.owner[g]].push_back(
+        {ds.map.local[g], static_cast<uint32_t>(dense_gids->size())});
     dense_gids->push_back(g);
-    expect[ds.map.owner[g]].push_back({ds.map.local[g], g});
   }
   for (size_t w = 0; w < w_count; ++w) {
     if (!expect[w].empty() && !pool_.at(w).healthy()) {
@@ -448,9 +430,8 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
     }
   }
 
-  merged->worker_dense.assign(w_count, {});
-  merged->worker_local.assign(w_count, {});
-  std::vector<WorkerSlice> slices(w_count);
+  // Every worker writes its rows straight into their dense positions.
+  std::vector<double> coords(n * static_cast<size_t>(dim));
   std::vector<std::string> errs(w_count);
   pool_.ForEach([&](size_t w, Upstream& up) {
     if (expect[w].empty()) return;
@@ -478,24 +459,17 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
                 " slice does not match the placement map";
       return;
     }
-    std::vector<uint32_t>& wl = merged->worker_local[w];
-    std::vector<uint32_t>& wd = merged->worker_dense[w];
-    wl.resize(count);
-    wd.resize(count);
     for (uint32_t l = 0; l < count; ++l) {
-      uint32_t local = rd.GetU32();
-      if (local != expect[w][l].first) {
+      if (rd.GetU32() != expect[w][l].first) {
         errs[w] = "worker " + up.addr() +
                   " slice does not match the placement map";
         return;
       }
-      wl[l] = local;
-      wd[l] = dense_of[expect[w][l].second];
     }
-    WorkerSlice& s = slices[w];
-    s.dense = wd;
-    s.coords.resize(static_cast<size_t>(count) * dim);
-    for (double& v : s.coords) v = rd.GetF64();
+    for (const auto& [local, dense] : expect[w]) {
+      double* row = coords.data() + static_cast<size_t>(dense) * dim;
+      for (int d = 0; d < dim; ++d) row[d] = rd.GetF64();
+    }
     if (!rd.ok() || rd.remaining() != 0) {
       errs[w] = "worker " + up.addr() + " sent a malformed points reply";
     }
@@ -506,79 +480,16 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
       return false;
     }
   }
+  auto merged = std::make_unique<Merged>();
+  merged->epoch = ds.epoch;
   merged->dense_gids = std::move(dense_gids);
-  merged->merger = MakeMerger(dim);
+  merged->merger = MakeMerger(dim, coords, n);
   if (!merged->merger) {
     out->error = "unsupported dataset dimension " + std::to_string(dim);
     return false;
   }
-  merged->merger->SetWorkers(slices, n);
   ds.merged = std::move(merged);
   TraceArtifact(out, /*built=*/true, "mirror");
-  return true;
-}
-
-bool Router::EnsureEmst(Dataset& ds, EngineResponse* out) {
-  Merged& m = *ds.merged;
-  if (m.emst.mst) {
-    TraceArtifact(out, /*built=*/false, "forest-emst");
-    return true;
-  }
-  obs::Span span("build:forest-emst", "engine");
-  std::vector<WeightedEdge> edges = m.merger->CrossEmstEdges();
-  std::vector<std::string> errs(pool_.size());
-  std::mutex edges_mu;
-  pool_.ForEach([&](size_t w, Upstream& up) {
-    if (m.worker_dense[w].empty()) return;
-    net::WireMessage req;
-    req.binary = true;
-    req.opcode = net::kOpExportMst;
-    net::PutU16(&req.payload, static_cast<uint16_t>(ds.name.size()));
-    req.payload += ds.name;
-    net::WireMessage reply;
-    if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during EMST fan-out";
-      return;
-    }
-    if (!reply.binary || reply.opcode != net::kOpEdgesReply) {
-      errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-      return;
-    }
-    net::PayloadReader rd(reply.payload);
-    uint32_t count = rd.GetU32();
-    if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) * 16) {
-      errs[w] = "worker " + up.addr() + " sent a malformed edges reply";
-      return;
-    }
-    std::vector<WeightedEdge> got(count);
-    for (WeightedEdge& e : got) {
-      uint32_t lu = rd.GetU32();
-      uint32_t lv = rd.GetU32();
-      double wgt = rd.GetF64();
-      uint32_t du = 0, dv = 0;
-      if (!DenseOfLocal(m.worker_local[w], m.worker_dense[w], lu, &du) ||
-          !DenseOfLocal(m.worker_local[w], m.worker_dense[w], lv, &dv)) {
-        errs[w] = "worker " + up.addr() + " returned an unknown edge id";
-        return;
-      }
-      e = {du, dv, wgt};
-    }
-    std::lock_guard<std::mutex> lock(edges_mu);
-    edges.insert(edges.end(), got.begin(), got.end());
-  });
-  for (const std::string& e : errs) {
-    if (!e.empty()) {
-      out->error = e;
-      return false;
-    }
-  }
-  std::vector<WeightedEdge> mst = KruskalMst(ds.live_n, std::move(edges));
-  PARHC_CHECK_MSG(mst.size() + 1 == ds.live_n,
-                  "cluster MST candidates did not span all points");
-  m.emst.mst_weight = TotalEdgeWeight(mst);
-  m.emst.mst =
-      std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-  TraceArtifact(out, /*built=*/true, "forest-emst");
   return true;
 }
 
@@ -591,17 +502,8 @@ void Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
   AnswerQuery(
       req, ds.live_n, out,
       [&](bool need_dendro, EmstView* v) {
-        if (!EnsureMirror(ds, out) || !EnsureEmst(ds, out)) return true;
-        Merged& m = *ds.merged;
-        auto dendro = [&] {
-          return BuildDendrogramArtifact(ds.live_n, *m.emst.mst);
-        };
-        if (need_dendro) {
-          EnsureDerived(m.emst.dendrogram, "sl-dendro", /*allow_build=*/true,
-                        out, dendro);
-        }
-        *v = m.emst;
-        return true;
+        if (!EnsureMirror(ds, out)) return true;
+        return ds.merged->merger->Emst(need_dendro, out, v);
       },
       [&](int min_pts, bool need_plot, ClusteringView* v) {
         if (!EnsureMirror(ds, out)) return true;
@@ -822,9 +724,9 @@ EngineResponse Router::RunSharded(Dataset& ds, const EngineRequest& req) {
   merges_.fetch_add(1, std::memory_order_relaxed);
   EngineResponse r;
   std::lock_guard<std::mutex> lock(ds.mu);
-  // The whole merged pipeline (kd-tree builds, cross traversals, Kruskal,
-  // dendrograms) issues parallel scheduler work, so it runs inside a
-  // worker group like any engine build.
+  // The mirror DAG's builds (kd-tree, kNN, MSTs, dendrograms) issue
+  // parallel scheduler work, so they run inside a worker group like any
+  // engine build.
   executor_.RunBuild([&] { AnswerSharded(ds, req, &r); });
   return r;
 }
@@ -1125,8 +1027,9 @@ net::ProtocolResult Router::HandleFrame(uint8_t opcode,
       std::string name = rd.GetBytes(rd.GetU16());
       auto ds = rd.ok() && !name.empty() ? FindDataset(name) : nullptr;
       if (ds && ds->mode == Mode::kSharded) {
-        // The export surface exists for router→worker fan-out; a sharded
-        // dataset has no single worker that could answer it.
+        // Export frames read one engine's own dataset (the router's mirror
+        // export, a client's EMST edge read); a sharded dataset spans
+        // every worker, so no single worker could answer them.
         out = "err export " + name +
               ": not supported on sharded datasets via the router\n";
       } else {

@@ -19,27 +19,25 @@
 //    single-node dynamic dataset would assign) and is placed on worker
 //    SplitMix64(gid) % N (cluster/placement.h). Queries run on a per-epoch
 //    mirror of the live points (cluster/merge.h), exported once per
-//    mutation epoch with the kOpExportPoints frame verb. The EMST merges
-//    per-worker slice EMSTs (kOpExportMst) with cross-slice BCCP edges
-//    under the distance-decomposition rule; HDBSCAN* runs on one static
-//    artifact DAG over the mirror in dense (ascending gid) order, exactly
-//    as a single node's dynamic set runs it over its live points; client
-//    kNN frames fan out to every owner and k-way merge. So EMST /
-//    HDBSCAN* / kNN answers are bit-identical to a single-node engine over
-//    the union — same MST edge set, same Kruskal edge order, same
-//    dendrogram, same labels (tests/cluster_test.cc holds this).
-//    Validation, label extraction and the response fill are the
-//    single-node code itself (AnswerQuery, engine/artifact_util.h), so
-//    error responses are the same too. Response lines differ only in the
-//    built=/reused= introspection keys (the router traces its own artifact
-//    scheme: mirror, forest-emst, then the mirror DAG's tree, knn@K, ...;
-//    a single-node dynamic backend's keys embed LSM content ids no other
-//    process can know).
+//    mutation epoch with the kOpExportPoints frame verb: EMST and
+//    HDBSCAN* both run on one static artifact DAG over the mirror in
+//    dense (ascending gid) order, exactly as a single node's dynamic set
+//    runs its clustering reads over its live points; client kNN frames
+//    fan out to every owner and k-way merge. So EMST / HDBSCAN* / kNN
+//    answers are bit-identical to a single-node engine over the union —
+//    same MST edge set, same edge order, same dendrogram, same labels
+//    (tests/cluster_test.cc holds this). Validation, label extraction and
+//    the response fill are the single-node code itself (AnswerQuery,
+//    engine/artifact_util.h), so error responses are the same too.
+//    Response lines differ only in the built=/reused= introspection keys
+//    (the router traces its own artifact scheme: mirror, then the mirror
+//    DAG's tree, emst, knn@K, ...; a single-node dynamic backend's keys
+//    embed LSM content ids no other process can know).
 //
 // Failure semantics: health checks eject dead upstreams (reads skip them;
-// sharded operations whose owners are down fail loudly, except reads the
-// router answers from what it holds for the current epoch: every
-// clustering read once the mirror is exported, the EMST once merged). A
+// sharded operations whose owners are down fail loudly, except that once
+// the current epoch's mirror is exported every EMST and clustering read
+// answers from it; client kNN frames still need every owner). A
 // recovered worker is re-seeded: replicated datasets replay their
 // creation lines (idempotent — the registry replaces by name); sharded
 // slices are verified against the placement map via a point export and,
@@ -117,20 +115,14 @@ class Router {
   void HealthPassNow(uint64_t now_ms);
 
  private:
-  /// Merged-artifact cache of one sharded dataset, the router's global
-  /// tier: invalidated wholesale when the dataset's epoch moves, queried
-  /// through the same AnswerQuery (engine/artifact_util.h) as the
-  /// single-node backends.
+  /// Per-epoch mirror of one sharded dataset, the router's global tier:
+  /// replaced wholesale when the dataset's epoch moves, queried through
+  /// the same AnswerQuery (engine/artifact_util.h) as the single-node
+  /// backends.
   struct Merged {
     uint64_t epoch = 0;
     std::shared_ptr<const std::vector<uint32_t>> dense_gids;  ///< dense->gid
-    std::vector<std::vector<uint32_t>> worker_dense;  ///< worker->dense ids
-    /// Worker->ascending live worker-local gids, parallel to worker_dense
-    /// (remaps worker MST edge endpoints to dense indices).
-    std::vector<std::vector<uint32_t>> worker_local;
-    /// Slice trees for the EMST's cross edges; the DAG over the mirror.
-    std::unique_ptr<MergerBase> merger;
-    EmstView emst;
+    std::unique_ptr<MergerBase> merger;  ///< the DAG over the mirror
   };
 
   struct Dataset {
@@ -195,11 +187,10 @@ class Router {
   /// below report failures in out->error.
   void AnswerSharded(Dataset& ds, const EngineRequest& req,
                      EngineResponse* out);
+  /// The current epoch's mirror: every live point, exported with one
+  /// kOpExportPoints frame per worker holding a slice and checked against
+  /// the placement map.
   bool EnsureMirror(Dataset& ds, EngineResponse* out);
-  /// The merged EMST: Kruskal over the cross-slice edges plus every slice
-  /// EMST, fetched with one kOpExportMst frame per worker holding a slice
-  /// and remapped to dense ids.
-  bool EnsureEmst(Dataset& ds, EngineResponse* out);
   void Reseed(size_t worker);
   void ReseedSharded(size_t worker, Dataset& ds);
   std::string ClusterStatsText() const;

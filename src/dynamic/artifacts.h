@@ -45,7 +45,7 @@
 // Queries go through AnswerQuery (engine/artifact_util.h), the validation
 // and response fill shared with the static and router backends; cross
 // candidates come from CrossWspdEdges (spatial/cross_traverse.h), the one
-// cross step shared with the router and the high-dimensional EMST. Every
+// cross step shared with the high-dimensional EMST. Every
 // artifact built gets a trace span: the live-set DAG's build:<key> spans,
 // and the fixed names build:semst, build:xemst and build:forest-emst for
 // the EMST tiers, whose keys carry content ids that grow without bound
@@ -441,7 +441,7 @@ class DynamicArtifacts {
 
   // --- EMST family -------------------------------------------------------
 
-  bool EnsureEmst(bool allow_build, EngineResponse* out) {
+  bool EnsureForestEmst(bool allow_build, EngineResponse* out) {
     if (emst_.mst && emst_epoch_ == forest_.epoch()) {
       TraceArtifact(out, /*built=*/false, "forest-emst");
       return true;
@@ -500,7 +500,7 @@ class DynamicArtifacts {
   /// dendrogram into *view. False iff missing and !allow_build.
   bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
             EmstView* view) {
-    if (!EnsureEmst(allow_build, out)) return false;
+    if (!EnsureForestEmst(allow_build, out)) return false;
     if (need_dendro &&
         !EnsureDerived(emst_.dendrogram, "sl-dendro", allow_build, out, [&] {
           return BuildDendrogramArtifact(forest_.live_count(), *emst_.mst);

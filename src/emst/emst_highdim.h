@@ -10,9 +10,9 @@
 //
 // where the cross candidates are the BCCP edges of an s=2 well-separated
 // decomposition between each pair of partition trees (CrossWspdEdges in
-// spatial/cross_traverse.h, the cross step the shard forest and the
-// router share). Kruskal over that candidate set reproduces the exact EMST
-// for *any* partition, so the k-means partitioning is purely a performance
+// spatial/cross_traverse.h, the cross step the shard forest shares).
+// Kruskal over that candidate set reproduces the exact EMST for *any*
+// partition, so the k-means partitioning is purely a performance
 // choice: it groups nearby points so the per-partition MemoGFK runs see
 // compact trees and the cross passes see mostly far-apart (cheaply
 // separable) node pairs.

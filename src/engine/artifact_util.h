@@ -1,10 +1,11 @@
 // The query surface shared by the engine's three artifact backends: the
 // immutable per-dataset cache (engine/artifacts.h), the batch-dynamic
-// shard-forest cache (dynamic/artifacts.h) and the router's merged cache
-// over sharded workers (cluster/router.cc). AnswerQuery owns the one
+// shard-forest cache (dynamic/artifacts.h) and the router's per-epoch
+// mirror of sharded workers (cluster/router.cc). AnswerQuery owns the one
 // validation order and error strings, label extraction and the response
 // fill; a backend supplies only its EMST and its per-minPts MR-MST (the
-// latter two take it from a DatasetArtifacts over all their points). The
+// latter two take the MR-MST from a DatasetArtifacts over all their
+// points, and the router its EMST too). The
 // helpers below keep the build/reuse traces, the build:<key> trace spans
 // (one per artifact built, see README "Observability") and the dendrograms
 // identical across backends.
@@ -90,7 +91,7 @@ struct ClusteringView {
 };
 
 /// Build-or-reuse step for an artifact derived from an MST (the
-/// `sl-dendro` of the shard-forest and router EMSTs) in a backend that
+/// `sl-dendro` of the shard-forest EMST) in a backend that
 /// serializes its builds: fills an empty `slot` from `build()` inside a
 /// build:<key> span and traces `key` as built, else as reused. Returns
 /// false iff the slot is empty and !allow_build.

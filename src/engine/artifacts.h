@@ -54,9 +54,9 @@
 // that only static datasets serve. A static dataset owns one DAG, a
 // dynamic set one over its live points, and the router one over its
 // mirror of a sharded set (cluster/merge.h), so HDBSCAN* runs here
-// wherever it is served. The kNN frame (rows of arbitrary query points,
-// which the router merges across workers) runs on the cached kd-tree too
-// (KnnForQueries).
+// wherever it is served, and so does the router's EMST. The kNN frame
+// (rows of arbitrary query points, which the router merges across
+// workers) runs on the cached kd-tree too (KnnForQueries).
 //
 // Thread safety (the shard forest around a dynamic set's DAG and the
 // router's mirror around its DAG rely on their owner's lock instead):
@@ -170,6 +170,39 @@ class DatasetArtifacts {
     }
     EngineResponse unused;
     return KnnSquaredRows(*Tree(/*allow_build=*/true, &unused), queries, k);
+  }
+
+  /// EMST + optional single-linkage dendrogram into *view. Returns false
+  /// iff something was missing and !allow_build.
+  bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
+            EmstView* view) {
+    auto get = [&] { return emst_.mst; };
+    auto mst = Node("emst", allow_build, out, get, [&] {
+      std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
+      std::shared_ptr<const std::vector<WeightedEdge>> m;
+      {
+        // EMST builds rewrite the shared tree's annotation arrays.
+        std::lock_guard<std::mutex> annot(tree_annot_mu_);
+        m = std::make_shared<const std::vector<WeightedEdge>>(
+            EmstMemoGfkOnTree(*tree));
+      }
+      std::lock_guard<std::mutex> lk(state_mu_);
+      emst_.mst = m;
+      emst_.mst_weight = TotalEdgeWeight(*m);
+      return m;
+    });
+    if (!mst) return false;
+    auto get_dendro = [&] { return emst_.dendrogram; };
+    auto build_dendro = [&] {
+      return Publish(emst_.dendrogram, BuildDendro(*mst));
+    };
+    if (need_dendro &&
+        !Node("sl-dendro", allow_build, out, get_dendro, build_dendro)) {
+      return false;
+    }
+    std::lock_guard<std::mutex> lk(state_mu_);
+    *view = emst_;
+    return true;
   }
 
   /// The per-minPts clustering, with the MST, dendrogram and (on demand)
@@ -547,39 +580,6 @@ class DatasetArtifacts {
           core_.emplace(min_pts, cd);
           return cd;
         });
-  }
-
-  /// EMST + optional single-linkage dendrogram into *view. Returns false
-  /// iff something was missing and !allow_build.
-  bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
-            EmstView* view) {
-    auto get = [&] { return emst_.mst; };
-    auto mst = Node("emst", allow_build, out, get, [&] {
-      std::shared_ptr<KdTree<D>> tree = Tree(allow_build, out);
-      std::shared_ptr<const std::vector<WeightedEdge>> m;
-      {
-        // EMST builds rewrite the shared tree's annotation arrays.
-        std::lock_guard<std::mutex> annot(tree_annot_mu_);
-        m = std::make_shared<const std::vector<WeightedEdge>>(
-            EmstMemoGfkOnTree(*tree));
-      }
-      std::lock_guard<std::mutex> lk(state_mu_);
-      emst_.mst = m;
-      emst_.mst_weight = TotalEdgeWeight(*m);
-      return m;
-    });
-    if (!mst) return false;
-    auto get_dendro = [&] { return emst_.dendrogram; };
-    auto build_dendro = [&] {
-      return Publish(emst_.dendrogram, BuildDendro(*mst));
-    };
-    if (need_dendro &&
-        !Node("sl-dendro", allow_build, out, get_dendro, build_dendro)) {
-      return false;
-    }
-    std::lock_guard<std::mutex> lk(state_mu_);
-    *view = emst_;
-    return true;
   }
 
   /// Partitioned high-dimensional EMST at `eps` (exact decomposition when

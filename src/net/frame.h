@@ -60,9 +60,9 @@ enum FrameOpcode : uint8_t {
   /// dataset's live points. Payload: u16 name_len, name bytes. Answered
   /// with kOpPointsReply.
   kOpExportPoints = 0x12,
-  /// Per-worker Euclidean MST edges (the distance-decomposition merge
-  /// input). Payload: u16 name_len, name bytes. Answered with
-  /// kOpEdgesReply; edge endpoints are the worker's gids.
+  /// A dataset's Euclidean MST edges, the `emst` verb's answer in binary.
+  /// Payload: u16 name_len, name bytes. Answered with kOpEdgesReply;
+  /// edge endpoints are gids (point indices for a static dataset).
   kOpExportMst = 0x13,
   /// kNN rows for arbitrary query points against a dataset's live points.
   /// Payload: u16 name_len, name bytes, u32 k, u16 dim, u32 count,

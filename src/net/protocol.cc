@@ -579,9 +579,9 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
         out = StrPrintf("err export %s: %s\n", name.c_str(), r.error.c_str());
         return res;
       }
-      // MST endpoints are dense point indices; rewrite to global ids so
-      // the router can merge edge lists across workers (point_ids is null
-      // for static datasets, where dense index == gid).
+      // MST endpoints are dense point indices; rewrite to global ids, which
+      // stay valid across mutations (point_ids is null for static
+      // datasets, where dense index == gid).
       size_t count = r.mst ? r.mst->size() : 0;
       std::string reply;
       reply.reserve(4 + count * 16);

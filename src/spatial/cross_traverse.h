@@ -1,9 +1,8 @@
 // Cross-tree dual traversals: the two-tree counterparts of the single-tree
 // engines in spatial/traverse.h, and CrossWspdEdges, the one cross step of
-// the distance-decomposition rule shared by the batch-dynamic shard forest
-// (src/dynamic/) and the router's slice merge (src/cluster/merge.h), both
-// through CrossBccpEdges, and the partitioned high-dimensional EMST
-// (src/emst/emst_highdim.h).
+// the distance-decomposition rule shared by the batch-dynamic shard
+// forest's cross tier (src/dynamic/, through CrossBccpEdges) and the
+// partitioned high-dimensional EMST (src/emst/emst_highdim.h).
 //
 // The distance-decomposition result (Lettich, arXiv:2406.01739) states that
 // the EMST of a union of parts is contained in the union of the parts'
@@ -14,6 +13,8 @@
 // parts: mutual-reachability weights change with every core-distance
 // epoch, so the shard forest and the router run HDBSCAN* on one kd-tree
 // over all their points (the static artifact DAG, engine/artifacts.h).
+// Parts pay only when cached: the router, which rebuilds its mirror every
+// mutation epoch, runs its EMST on that same DAG too.
 //
 // Both engines keep the two arenas positionally distinct — the first index
 // always addresses `ta`, the second `tb` — and split the node with the

@@ -382,10 +382,12 @@ TEST(Router, ShardedAnswersBitMatchSingleNodeAcrossMutationsAndRestart) {
           router.Handle(KnnFrame("s", 3, {0.5, 0.5}, 2), NoTiming()).out;
       EXPECT_EQ(down, "err knn s: worker 127.0.0.1:" + std::to_string(port) +
                           " is unhealthy\n");
-      // Clustering reads need no worker once this epoch's mirror is
-      // exported: m=50 exceeds every kNN width built so far and still
-      // answers, from the mirror's DAG.
+      // EMST and clustering reads need no worker once this epoch's
+      // mirror is exported: m=50 exceeds every kNN width built so far and
+      // still answers, from the mirror's DAG, and so does the EMST family.
       oracle.Check("hdbscan s 50");
+      oracle.Check("emst s");
+      oracle.Check("slink s 5");
 
       w2 = std::make_unique<Worker>(port);  // fresh engine, same address
       router.HealthPassNow(5000);  // backoff expired -> reconnect + reseed
@@ -419,11 +421,11 @@ std::vector<uint64_t> UpstreamRequests(Router& router) {
   return out;
 }
 
-// Once a read has exported the mirror of the current epoch, every
-// clustering read runs on the mirror's artifact DAG: minPts wider and
-// narrower than any built so far answer like the single node without one
-// more upstream round trip.
-TEST(Router, ShardedClusteringReadsRunOnTheMirror) {
+// Once a read has exported the mirror of the current epoch, every EMST
+// and clustering read runs on the mirror's artifact DAG: the EMST, a
+// single-linkage cut and minPts wider and narrower than any built so far
+// answer like the single node without one more upstream round trip.
+TEST(Router, ShardedReadsRunOnTheMirror) {
   Worker w1, w2;
   Router router({w1.addr(), w2.addr()}, NoHealth());
   ASSERT_EQ(router.Start(), "");
@@ -447,16 +449,21 @@ TEST(Router, ShardedClusteringReadsRunOnTheMirror) {
   oracle.Check("clusters s 12 4");
   oracle.Check("dbscan s 6 0.1");
   CheckLabelsFrame(router, ref_engine, "s", 7, 0.08);
+  oracle.Check("emst s");
+  oracle.Check("slink s 4");
   EXPECT_EQ(UpstreamRequests(router), before);
 
   // One- and three-point sets run through the same DAG.
   oracle.Check("dyn t 2");
   oracle.Check("insert t 0.5 0.25");
   oracle.Check("hdbscan t 1");
+  oracle.Check("emst t");
   oracle.Check("insert t 0.125 0.75 0.875 0.5");
   oracle.Check("hdbscan t 2");
   oracle.Check("reach t 3");
   oracle.Check("clusters t 2 2");
+  oracle.Check("emst t");
+  oracle.Check("slink t 2");
 }
 
 TEST(Router, ShardedSaveLoadServesWarmAcrossRouterRestart) {

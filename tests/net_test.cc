@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -23,6 +24,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -375,6 +377,135 @@ TEST(ProtocolParse, InlinePathAndHandleLineAgreeOnEveryToken) {
       EXPECT_EQ(fast, slow) << c.line;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Export frames
+
+/// A frame payload naming one dataset.
+std::string NamePayload(const std::string& name) {
+  std::string payload;
+  net::PutU16(&payload, static_cast<uint16_t>(name.size()));
+  return payload + name;
+}
+
+/// The kOpEdgesReply of a kOpExportMst frame, sorted by (w, min, max).
+std::vector<WeightedEdge> ExportMst(net::ProtocolSession& session,
+                                    const std::string& name) {
+  std::string out =
+      session.HandleFrame(net::kOpExportMst, NamePayload(name)).out;
+  EXPECT_GT(out.size(), net::kFrameHeaderBytes) << out;
+  if (out.size() <= net::kFrameHeaderBytes) return {};
+  EXPECT_EQ(static_cast<uint8_t>(out[1]), net::kOpEdgesReply) << out;
+  std::string body = out.substr(net::kFrameHeaderBytes);
+  net::PayloadReader rd(body);
+  std::vector<WeightedEdge> edges(rd.GetU32());
+  for (WeightedEdge& e : edges) {
+    e.u = rd.GetU32();
+    e.v = rd.GetU32();
+    e.w = rd.GetF64();
+  }
+  EXPECT_TRUE(rd.ok());
+  EXPECT_EQ(rd.remaining(), 0u);
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+/// EmstMemoGfk over `pts`, endpoints mapped through `ids`, sorted.
+std::vector<WeightedEdge> ScratchEmst(const std::vector<Point<2>>& pts,
+                                      const std::vector<uint32_t>& ids) {
+  std::vector<WeightedEdge> edges = EmstMemoGfk(pts);
+  for (WeightedEdge& e : edges) e = {ids[e.u], ids[e.v], e.w};
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+// kOpExportMst answers a dataset's EMST with gid endpoints: after insert
+// batches and a delete, the edges of a dynamic set are exactly a
+// from-scratch MemoGFK over its live points, mapped to their gids; a
+// static set's endpoints are its point indices.
+TEST(ProtocolFrames, ExportMstAnswersTheEmstInGids) {
+  ClusteringEngine engine;
+  net::ProtocolOptions popts;
+  popts.show_timing = false;
+  net::ProtocolSession session(engine, popts);
+
+  ASSERT_EQ(session.HandleLine("dyn d 2").out, "ok dyn d dim=2\n");
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> coord(0.0, 100.0);
+  std::vector<Point<2>> pts;  // by gid
+  for (uint32_t batch : {150u, 90u}) {
+    std::string payload = NamePayload("d");
+    net::PutU16(&payload, 2);
+    net::PutU32(&payload, batch);
+    for (uint32_t i = 0; i < batch; ++i) {
+      Point<2> p;
+      for (int d = 0; d < 2; ++d) {
+        p[d] = coord(rng);
+        net::PutF64(&payload, p[d]);
+      }
+      pts.push_back(p);
+    }
+    std::string out = session.HandleFrame(net::kOpInsertPoints, payload).out;
+    ASSERT_EQ(out.rfind("ok insert d n=" + std::to_string(batch), 0), 0u)
+        << out;
+  }
+  std::vector<bool> dead(pts.size(), false);
+  std::string del = "delete d";
+  for (uint32_t g = 3; g < pts.size(); g += 11) {
+    dead[g] = true;
+    del += ' ' + std::to_string(g);
+  }
+  ASSERT_EQ(session.HandleLine(del).out.rfind("ok delete d deleted=", 0), 0u);
+
+  std::vector<Point<2>> live;
+  std::vector<uint32_t> live_gids;
+  for (uint32_t g = 0; g < pts.size(); ++g) {
+    if (dead[g]) continue;
+    live.push_back(pts[g]);
+    live_gids.push_back(g);
+  }
+  std::vector<WeightedEdge> got = ExportMst(session, "d");
+  for (const WeightedEdge& e : got) {
+    ASSERT_TRUE(e.u < pts.size() && !dead[e.u]) << e.u;
+    ASSERT_TRUE(e.v < pts.size() && !dead[e.v]) << e.v;
+  }
+  EXPECT_EQ(got, ScratchEmst(live, live_gids));
+
+  // A static set: endpoints are point indices into the exported points.
+  std::string gen = session.HandleLine("gen g 2 varden 400 5").out;
+  ASSERT_EQ(gen.rfind("ok gen ", 0), 0u) << gen;
+  std::string out =
+      session.HandleFrame(net::kOpExportPoints, NamePayload("g")).out;
+  ASSERT_GT(out.size(), net::kFrameHeaderBytes) << out;
+  ASSERT_EQ(static_cast<uint8_t>(out[1]), net::kOpPointsReply) << out;
+  std::string body = out.substr(net::kFrameHeaderBytes);
+  net::PayloadReader rd(body);
+  ASSERT_EQ(rd.GetU16(), 2u);
+  std::vector<uint32_t> ids(rd.GetU32());
+  for (uint32_t& id : ids) id = rd.GetU32();
+  std::vector<Point<2>> gpts(ids.size());
+  for (Point<2>& p : gpts) {
+    for (int d = 0; d < 2; ++d) p[d] = rd.GetF64();
+  }
+  ASSERT_TRUE(rd.ok());
+  ASSERT_EQ(ids.size(), 400u);
+  for (uint32_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], i);
+  EXPECT_EQ(ExportMst(session, "g"), ScratchEmst(gpts, ids));
+
+  // Bad payloads and unknown datasets answer text err lines.
+  auto export_mst = [&](const std::string& payload) {
+    return session.HandleFrame(net::kOpExportMst, payload).out;
+  };
+  const std::string malformed = "err export: malformed frame payload\n";
+  std::string truncated;
+  net::PutU16(&truncated, 5);
+  truncated += "d";
+  EXPECT_EQ(export_mst(truncated), malformed);
+  EXPECT_EQ(export_mst(NamePayload("")), malformed);
+  EXPECT_EQ(export_mst(NamePayload("d") + "x"), malformed);
+  EXPECT_EQ(export_mst(NamePayload("nosuch")),
+            "err export nosuch: unknown dataset: nosuch\n");
 }
 
 // ---------------------------------------------------------------------------
