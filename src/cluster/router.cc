@@ -11,10 +11,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string_view>
 
 #include "obs/trace.h"
+#include "parallel/primitives.h"
 #include "store/manifest.h"
 
 namespace parhc {
@@ -34,6 +36,39 @@ uint64_t NowMs() {
 /// Worker subdirectory for worker `w` under a sharded save/load dir.
 std::string WorkerDir(const std::string& dir, size_t w) {
   return dir + "/w" + std::to_string(w);
+}
+
+/// Merges per-worker kNN rows: each worker_rows[w] holds count*k sorted
+/// squared distances of the same `count` queries against that worker's
+/// slice (+inf-padded; see KnnSquaredRows in spatial/knn.h). Row i of the
+/// result is the k smallest of the union — exactly the row a single-node
+/// kNN over the union computes, because every worker already contributed
+/// its k smallest. Issues parallel work.
+std::vector<double> MergeKnnRows(
+    size_t count, size_t k,
+    const std::vector<std::vector<double>>& worker_rows) {
+  size_t w_count = worker_rows.size();
+  std::vector<double> out(count * k,
+                          std::numeric_limits<double>::infinity());
+  ParallelFor(0, count, [&](size_t i) {
+    std::vector<size_t> idx(w_count, 0);
+    for (size_t t = 0; t < k; ++t) {
+      size_t best_w = w_count;
+      double best = std::numeric_limits<double>::infinity();
+      for (size_t w = 0; w < w_count; ++w) {
+        if (idx[w] >= k) continue;
+        double d = worker_rows[w][i * k + idx[w]];
+        if (d < best) {
+          best = d;
+          best_w = w;
+        }
+      }
+      if (best_w == w_count) break;  // all remaining are +inf
+      out[i * k + t] = best;
+      ++idx[best_w];
+    }
+  });
+  return out;
 }
 
 std::string NoHealthyUpstream(std::string_view verb) {
@@ -483,8 +518,8 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out) {
   auto merged = std::make_unique<Merged>();
   merged->epoch = ds.epoch;
   merged->dense_gids = std::move(dense_gids);
-  merged->merger = MakeMerger(dim, coords, n);
-  if (!merged->merger) {
+  merged->mirror = MakeStaticEntry(dim, coords, n);
+  if (!merged->mirror) {
     out->error = "unsupported dataset dimension " + std::to_string(dim);
     return false;
   }
@@ -503,11 +538,13 @@ void Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
       req, ds.live_n, out,
       [&](bool need_dendro, EmstView* v) {
         if (!EnsureMirror(ds, out)) return true;
-        return ds.merged->merger->Emst(need_dendro, out, v);
+        return ds.merged->mirror->Emst(need_dendro, /*allow_build=*/true, out,
+                                       v);
       },
       [&](int min_pts, bool need_plot, ClusteringView* v) {
         if (!EnsureMirror(ds, out)) return true;
-        return ds.merged->merger->Clustering(min_pts, need_plot, out, v);
+        return ds.merged->mirror->Clustering(min_pts, need_plot,
+                                             /*allow_build=*/true, out, v);
       });
   if (out->ok) out->point_ids = ds.merged->dense_gids;
 }

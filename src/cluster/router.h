@@ -18,17 +18,20 @@
 //    global id from the router's watermark (the same contiguous sequence a
 //    single-node dynamic dataset would assign) and is placed on worker
 //    SplitMix64(gid) % N (cluster/placement.h). Queries run on a per-epoch
-//    mirror of the live points (cluster/merge.h), exported once per
-//    mutation epoch with the kOpExportPoints frame verb: EMST and
-//    HDBSCAN* both run on one static artifact DAG over the mirror in
-//    dense (ascending gid) order, exactly as a single node's dynamic set
-//    runs its clustering reads over its live points; client kNN frames
-//    fan out to every owner and k-way merge. So EMST / HDBSCAN* / kNN
-//    answers are bit-identical to a single-node engine over the union —
-//    same MST edge set, same edge order, same dendrogram, same labels
-//    (tests/cluster_test.cc holds this). Validation, label extraction and
-//    the response fill are the single-node code itself (AnswerQuery,
-//    engine/artifact_util.h), so error responses are the same too.
+//    mirror of the live points, exported once per mutation epoch with the
+//    kOpExportPoints frame verb into a static registry entry
+//    (MakeStaticEntry, engine/registry.h) in dense (ascending gid) order:
+//    EMST and HDBSCAN* both run on its artifact DAG, exactly as a single
+//    node's dynamic set runs its clustering reads over its live points,
+//    and the DAG's EMST (MemoGFK on its kd-tree) is edge-identical to the
+//    shard forest's. Client kNN frames fan out to every owner and k-way
+//    merge (the k smallest of a union is the merge of the parts' k
+//    smallest). So EMST / HDBSCAN* / kNN answers are bit-identical to a
+//    single-node engine over the union — same MST edge set, same edge
+//    order, same dendrogram, same labels (tests/cluster_test.cc holds
+//    this). Validation, label extraction and the response fill are the
+//    single-node code itself (AnswerQuery, engine/artifact_util.h), so
+//    error responses are the same too.
 //    Response lines differ only in the built=/reused= introspection keys
 //    (the router traces its own artifact scheme: mirror, then the mirror
 //    DAG's tree, emst, knn@K, ...; a single-node dynamic backend's keys
@@ -63,11 +66,11 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/merge.h"
 #include "cluster/placement.h"
 #include "cluster/upstream.h"
 #include "engine/artifact_util.h"
 #include "engine/executor.h"
+#include "engine/registry.h"
 #include "net/protocol.h"
 #include "net/server.h"
 
@@ -117,12 +120,13 @@ class Router {
  private:
   /// Per-epoch mirror of one sharded dataset, the router's global tier:
   /// replaced wholesale when the dataset's epoch moves, queried through
-  /// the same AnswerQuery (engine/artifact_util.h) as the single-node
-  /// backends.
+  /// the same AnswerQuery (engine/artifact_util.h) and entry steps as the
+  /// single-node backends. Its builds issue parallel work, so the router
+  /// runs them in its BuildExecutor under the dataset's `mu`.
   struct Merged {
     uint64_t epoch = 0;
     std::shared_ptr<const std::vector<uint32_t>> dense_gids;  ///< dense->gid
-    std::unique_ptr<MergerBase> merger;  ///< the DAG over the mirror
+    std::shared_ptr<DatasetEntryBase> mirror;  ///< static entry, dense order
   };
 
   struct Dataset {

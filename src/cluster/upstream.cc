@@ -127,11 +127,11 @@ std::string Upstream::Connect() {
     MarkDown();
     return "upstream " + addr_ + " has role " + role + ", need engine";
   }
-  dims_.clear();
-  std::istringstream ds(dims_kv.substr(5));
-  std::string tok;
-  while (std::getline(ds, tok, ',')) {
-    if (!tok.empty()) dims_.push_back(std::atoi(tok.c_str()));
+  std::string dims = dims_kv.substr(5);
+  if (dims != net::ProtocolDims()) {
+    MarkDown();
+    return "upstream " + addr_ + " serves dims=" + dims + ", need dims=" +
+           net::ProtocolDims();
   }
   healthy_.store(true, std::memory_order_release);
   return "";

@@ -5,7 +5,8 @@
 // request/reply lockstep: a per-upstream mutex serializes round trips, so
 // any router thread may use any upstream. Connecting performs the `hello`
 // handshake and refuses workers whose protocol version differs from
-// net::kProtocolVersion or whose role is not "engine".
+// net::kProtocolVersion, whose role is not "engine", or whose dim caps
+// differ from this build's registry widths (net::ProtocolDims).
 //
 // Replies are framed with the same FrameSplitter the servers use: one
 // round trip reads exactly one wire message (a text line or one binary
@@ -64,8 +65,6 @@ class Upstream {
 
   bool healthy() const { return healthy_.load(std::memory_order_acquire); }
   const std::string& addr() const { return addr_; }
-  /// Dimension caps the worker reported in its hello reply.
-  const std::vector<int>& dims() const { return dims_; }
 
   /// One request/reply round trip. Appends " trace=<id>" to text requests
   /// when the calling thread carries a trace id. On success fills *reply
@@ -104,7 +103,6 @@ class Upstream {
   int fd_ = -1;
   std::unique_ptr<net::FrameSplitter> splitter_;
   std::atomic<bool> healthy_{false};
-  std::vector<int> dims_;
   UpstreamCounters counters_;
 };
 

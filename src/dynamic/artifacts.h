@@ -151,11 +151,33 @@ class DynamicArtifacts {
           return Emst(need_dendro, allow_build, out, v);
         },
         [&](int min_pts, bool need_plot, ClusteringView* v) {
-          if (!live_ && !allow_build) return false;
-          return LiveSet().Clustering(min_pts, need_plot, allow_build, out, v);
+          return Clustering(min_pts, need_plot, allow_build, out, v);
         });
     if (out->ok) out->point_ids = ids_dense_;
     return answered;
+  }
+
+  /// The forest EMST plus, when `need_dendro`, its single-linkage
+  /// dendrogram into *view. False iff missing and !allow_build.
+  bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
+            EmstView* view) {
+    if (!EnsureForestEmst(allow_build, out)) return false;
+    if (need_dendro &&
+        !EnsureDerived(emst_.dendrogram, "sl-dendro", allow_build, out, [&] {
+          return BuildDendrogramArtifact(forest_.live_count(), *emst_.mst);
+        })) {
+      return false;
+    }
+    *view = emst_;
+    return true;
+  }
+
+  /// The per-minPts clustering of the live-set DAG (see
+  /// DatasetArtifacts::Clustering). False iff missing and !allow_build.
+  bool Clustering(int min_pts, bool need_plot, bool allow_build,
+                  EngineResponse* out, ClusteringView* view) {
+    if (!live_ && !allow_build) return false;
+    return LiveSet().Clustering(min_pts, need_plot, allow_build, out, view);
   }
 
   /// Writes the forest (per-shard files: full point batches + tombstone
@@ -493,21 +515,6 @@ class DynamicArtifacts {
     emst_epoch_ = forest_.epoch();
     span.End();
     TraceArtifact(out, /*built=*/true, "forest-emst");
-    return true;
-  }
-
-  /// The forest EMST plus, when `need_dendro`, its single-linkage
-  /// dendrogram into *view. False iff missing and !allow_build.
-  bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
-            EmstView* view) {
-    if (!EnsureForestEmst(allow_build, out)) return false;
-    if (need_dendro &&
-        !EnsureDerived(emst_.dendrogram, "sl-dendro", allow_build, out, [&] {
-          return BuildDendrogramArtifact(forest_.live_count(), *emst_.mst);
-        })) {
-      return false;
-    }
-    *view = emst_;
     return true;
   }
 

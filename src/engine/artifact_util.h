@@ -1,14 +1,15 @@
 // The query surface shared by the engine's three artifact backends: the
 // immutable per-dataset cache (engine/artifacts.h), the batch-dynamic
 // shard-forest cache (dynamic/artifacts.h) and the router's per-epoch
-// mirror of sharded workers (cluster/router.cc). AnswerQuery owns the one
-// validation order and error strings, label extraction and the response
-// fill; a backend supplies only its EMST and its per-minPts MR-MST (the
-// latter two take the MR-MST from a DatasetArtifacts over all their
-// points, and the router its EMST too). The
-// helpers below keep the build/reuse traces, the build:<key> trace spans
-// (one per artifact built, see README "Observability") and the dendrograms
-// identical across backends.
+// mirror of sharded workers (cluster/router.cc), which is a static
+// registry entry driven through DatasetEntryBase::Emst / Clustering
+// (engine/registry.h). AnswerQuery owns the one validation order and error
+// strings, label extraction and the response fill; a backend supplies only
+// its EMST and its per-minPts MR-MST (the dynamic set takes the MR-MST
+// from a DatasetArtifacts over its live points). The helpers below keep
+// the build/reuse traces, the build:<key> trace spans (one per artifact
+// built, see README "Observability") and the dendrograms identical across
+// backends.
 #pragma once
 
 #include <algorithm>

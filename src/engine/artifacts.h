@@ -52,11 +52,13 @@
 // and response fill shared with the dynamic and router backends; this file
 // supplies the EMST and per-minPts MR-MST nodes, plus the eps EMST path
 // that only static datasets serve. A static dataset owns one DAG, a
-// dynamic set one over its live points, and the router one over its
-// mirror of a sharded set (cluster/merge.h), so HDBSCAN* runs here
-// wherever it is served, and so does the router's EMST. The kNN frame
-// (rows of arbitrary query points, which the router merges across
-// workers) runs on the cached kd-tree too (KnnForQueries).
+// dynamic set one over its live points, and the router's mirror of a
+// sharded set is itself a static registry entry (MakeStaticEntry in
+// engine/registry.h), so HDBSCAN* runs here wherever it is served, and so
+// does the router's EMST. The kNN frame (rows of arbitrary query points,
+// which the router merges across workers) runs on the cached kd-tree too
+// (KnnForQueries). Serving code reaches this class only through
+// engine/registry.cc, which instantiates it once per registry width.
 //
 // Thread safety (the shard forest around a dynamic set's DAG and the
 // router's mirror around its DAG rely on their owner's lock instead):

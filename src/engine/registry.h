@@ -3,17 +3,27 @@
 // Point dimensionality is a compile-time template parameter everywhere in
 // the library; the serving layer needs to hold datasets of several
 // dimensions in one table and route requests by name at runtime. Each
-// registered dataset owns a DatasetArtifacts<D> behind a virtual interface
-// (DatasetEntryBase) carrying the per-dataset readers-writer lock that the
-// engine's query path uses. Supported dimensions are the paper's evaluation
-// set {2, 3, 4, 5, 7, 10, 16} plus the embedding widths {64, 256} served by
-// the high-dimensional EMST path (emst/emst_highdim.h); loading another
-// dimension fails with a clear error rather than instantiating unboundedly.
+// registered dataset is a DatasetEntryBase: a static set's artifact DAG
+// (engine/artifacts.h) or a dynamic set's shard forest
+// (dynamic/artifacts.h) behind a virtual interface carrying the
+// per-dataset readers-writer lock that the engine's query path uses.
+// Supported dimensions are PARHC_FOR_EACH_DIM below: the paper's
+// evaluation set {2, 3, 4, 5, 7, 10, 16} plus the embedding widths
+// {64, 256} served by the high-dimensional EMST path
+// (emst/emst_highdim.h); loading another dimension fails with a clear
+// error rather than instantiating unboundedly.
+//
+// The width list is written once, here, and VisitDim is the one dispatch
+// from a runtime width to a compile-time one. engine/registry.cc is the
+// only translation unit that instantiates the backends per width: the
+// entry classes, the Try* loaders and the MakeStaticEntry factories live
+// there, so every other object compiles against the width-independent
+// interface below. Adding a width is one entry in PARHC_FOR_EACH_DIM.
 //
 // Static datasets are immutable once added; re-adding a name atomically
 // replaces the entry: in-flight queries keep answering from the old
 // shared_ptr and new queries see the new data (documented in README
-// "Serving layer"). Batch-dynamic datasets (AddDynamic) instead accept
+// "Serving layer"). Batch-dynamic datasets (TryAddDynamic) instead accept
 // InsertRows / DeleteIds mutations, backed by the LSM shard forest
 // (dynamic/artifacts.h), whose HDBSCAN* side is one DatasetArtifacts<D>
 // over the live points per mutation epoch; the engine front-end
@@ -32,18 +42,45 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "data/io.h"
-#include "dynamic/artifacts.h"
-#include "engine/artifacts.h"
-#include "engine/export.h"
 #include "engine/request.h"
-#include "store/errors.h"
-#include "store/manifest.h"
+#include "geometry/point.h"
+#include "util/check.h"
 
 namespace parhc {
+
+struct EmstView;
+struct ClusteringView;
+
+/// Every registry-hosted dimension: VisitDim dispatches over it and
+/// engine/registry.cc instantiates the full engine stack (static + dynamic
+/// entries, artifact DAG, snapshot loaders) at each width. The wide dims
+/// (64, 256) serve the high-dimensional embedding workload (see
+/// emst/emst_highdim.h).
+#define PARHC_FOR_EACH_DIM(X) X(2) X(3) X(4) X(5) X(7) X(10) X(16) X(64) X(256)
+
+/// Calls f(std::integral_constant<int, D>{}) when `dim` is a listed width
+/// D and returns its result; returns `otherwise` for any other width.
+template <typename R, typename F>
+constexpr R VisitDim(int dim, R otherwise, F&& f) {
+  switch (dim) {
+#define PARHC_VISIT_DIM_CASE(D) \
+  case D:                       \
+    return f(std::integral_constant<int, D>{});
+    PARHC_FOR_EACH_DIM(PARHC_VISIT_DIM_CASE)
+#undef PARHC_VISIT_DIM_CASE
+    default:
+      return otherwise;
+  }
+}
+
+/// The listed widths in list order (the `hello` dim caps).
+#define PARHC_DIM_ITEM(D) D,
+inline constexpr int kSupportedDims[] = {PARHC_FOR_EACH_DIM(PARHC_DIM_ITEM)};
+#undef PARHC_DIM_ITEM
 
 /// The error a dataset of dimension `dim` answers to an insert batch of
 /// another width (the router tier words its own check identically).
@@ -65,6 +102,17 @@ class DatasetEntryBase {
   virtual bool Answer(const EngineRequest& req, bool allow_build,
                       EngineResponse* out) = 0;
 
+  /// AnswerQuery's EMST step (engine/artifact_util.h): a static set's DAG
+  /// EMST (DatasetArtifacts::Emst), a dynamic set's forest EMST. The
+  /// router's mirror of a sharded set answers through this directly.
+  virtual bool Emst(bool need_dendro, bool allow_build, EngineResponse* out,
+                    EmstView* view) = 0;
+
+  /// AnswerQuery's clustering step (DatasetArtifacts::Clustering) on the
+  /// set's DAG — for a dynamic set, the DAG over its live points.
+  virtual bool Clustering(int min_pts, bool need_plot, bool allow_build,
+                          EngineResponse* out, ClusteringView* view) = 0;
+
   /// Writes every cached artifact plus the dataset manifest into `dir`.
   /// Read-only (no lazy builds run), so the engine calls it under the
   /// *shared* lock — snapshots are taken while cache-hit queries keep
@@ -77,7 +125,8 @@ class DatasetEntryBase {
   // frame builds and reuses the kd-tree of the set's artifact DAG, for a
   // dynamic set the DAG over its live points), so the engine calls them
   // under the *exclusive* lock; the kNN frame issues parallel work and
-  // runs on the build executor.
+  // runs on the build executor. Both run the single-node code, so the
+  // router's merged kNN rows are bit-identical to a single node's.
 
   /// Live points in ascending-global-id order: gids[i] and the matching
   /// dim() doubles at coords[i*dim()]. For immutable datasets gid == point
@@ -120,121 +169,16 @@ class DatasetEntryBase {
   std::shared_mutex mu;
 };
 
+/// The static entry over `pts` (non-empty). Defined in engine/registry.cc
+/// and instantiated there for every listed width only.
 template <int D>
-class DatasetEntry final : public DatasetEntryBase {
- public:
-  explicit DatasetEntry(std::vector<Point<D>> pts)
-      : artifacts_(std::move(pts)) {}
+std::shared_ptr<DatasetEntryBase> MakeStaticEntry(std::vector<Point<D>> pts);
 
-  /// Warm-starts from a snapshot directory (see DatasetArtifacts::LoadFrom).
-  explicit DatasetEntry(const std::string& snapshot_dir) {
-    artifacts_.LoadFrom(snapshot_dir);
-  }
-
-  int dim() const override { return D; }
-  size_t num_points() const override { return artifacts_.num_points(); }
-  size_t knn_k() const override { return artifacts_.knn_k(); }
-  size_t num_cached_clusterings() const override {
-    return artifacts_.num_cached_clusterings();
-  }
-  bool Answer(const EngineRequest& req, bool allow_build,
-              EngineResponse* out) override {
-    return artifacts_.Answer(req, allow_build, out);
-  }
-  void SaveTo(const std::string& dir) const override {
-    artifacts_.SaveTo(dir);
-  }
-
-  void ExportLive(std::vector<uint32_t>* gids,
-                  std::vector<double>* coords) override {
-    size_t n = artifacts_.num_points();
-    gids->resize(n);
-    for (size_t i = 0; i < n; ++i) (*gids)[i] = static_cast<uint32_t>(i);
-    engine_export::FlattenInto<D>(artifacts_.points(), coords);
-  }
-
-  std::vector<double> KnnForQueries(const std::vector<double>& coords,
-                                    size_t count, size_t k) override {
-    return artifacts_.KnnForQueries(
-        engine_export::UnflattenRows<D>(coords, count), k);
-  }
-
- private:
-  DatasetArtifacts<D> artifacts_;
-};
-
-/// A batch-dynamic dataset over the LSM shard forest. Starts empty; points
-/// arrive through InsertRows and leave through DeleteIds.
-template <int D>
-class DynamicDatasetEntry final : public DatasetEntryBase {
- public:
-  DynamicDatasetEntry() = default;
-
-  /// Warm-starts from a snapshot directory (see DynamicArtifacts::LoadFrom).
-  explicit DynamicDatasetEntry(const std::string& snapshot_dir) {
-    artifacts_.LoadFrom(snapshot_dir);
-  }
-
-  int dim() const override { return D; }
-  size_t num_points() const override { return artifacts_.num_points(); }
-  size_t knn_k() const override { return artifacts_.knn_k(); }
-  size_t num_cached_clusterings() const override {
-    return artifacts_.num_cached_clusterings();
-  }
-  bool Answer(const EngineRequest& req, bool allow_build,
-              EngineResponse* out) override {
-    return artifacts_.Answer(req, allow_build, out);
-  }
-
-  bool is_dynamic() const override { return true; }
-  size_t num_shards() const override { return artifacts_.num_shards(); }
-  size_t num_tombstones() const override {
-    return artifacts_.num_tombstones();
-  }
-
-  std::string InsertRows(const std::vector<std::vector<double>>& rows,
-                         uint32_t* first_gid) override {
-    if (rows.empty()) return "insert batch must be non-empty";
-    std::vector<Point<D>> pts(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].size() != static_cast<size_t>(D)) {
-        return RowDimMismatch(D);
-      }
-      for (int d = 0; d < D; ++d) pts[i][d] = rows[i][d];
-    }
-    if (!AllFinite(pts.data(), pts.size())) return kNonFiniteCoordinates;
-    uint32_t first = artifacts_.InsertBatch(std::move(pts));
-    if (first_gid) *first_gid = first;
-    return "";
-  }
-
-  std::string DeleteIds(const std::vector<uint32_t>& gids,
-                        size_t* deleted) override {
-    size_t n = artifacts_.DeleteBatch(gids);
-    if (deleted) *deleted = n;
-    return "";
-  }
-
-  void SaveTo(const std::string& dir) const override {
-    artifacts_.SaveTo(dir);
-  }
-
-  void ExportLive(std::vector<uint32_t>* gids,
-                  std::vector<double>* coords) override {
-    std::vector<Point<D>> pts;
-    artifacts_.ExportLive(gids, &pts);
-    engine_export::FlattenInto<D>(pts, coords);
-  }
-
-  std::vector<double> KnnForQueries(const std::vector<double>& coords,
-                                    size_t count, size_t k) override {
-    return artifacts_.KnnForQueries(
-        engine_export::UnflattenRows<D>(coords, count), k);
-  }
-
- private:
-  DynamicArtifacts<D> artifacts_;
-};
+/// The static entry over the `n` points whose coordinates `coords` holds
+/// row-major (the router's mirror of a sharded set, in dense order); null
+/// when `dim` is not a listed width.
+std::shared_ptr<DatasetEntryBase> MakeStaticEntry(
+    int dim, const std::vector<double>& coords, size_t n);
 
 /// Cache-state summary of one registered dataset.
 struct DatasetInfo {
@@ -250,31 +194,19 @@ struct DatasetInfo {
   int64_t snapshot_unix_ms = -1;    ///< last snapshot save/load wall time
 };
 
-/// X-macro over every registry-hosted dimension: each X(D) instantiates the
-/// full engine stack (static + dynamic entries, artifact DAG, snapshot
-/// loaders) at that width. The wide dims (64, 256) serve the
-/// high-dimensional embedding workload (see emst/emst_highdim.h).
-#define PARHC_FOR_EACH_DIM(X) X(2) X(3) X(4) X(5) X(7) X(10) X(16) X(64) X(256)
-
 class DatasetRegistry {
  public:
   /// Dimensions the registry can host (one template instantiation each).
-  static bool SupportedDim(int dim) {
-    switch (dim) {
-#define PARHC_DIM_CASE(D) case D:
-      PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
-#undef PARHC_DIM_CASE
-      return true;
-      default:
-        return false;
-    }
+  static constexpr bool SupportedDim(int dim) {
+    return VisitDim(dim, false, [](auto) { return true; });
   }
 
   /// Registers (or atomically replaces) `name` with typed points.
   template <int D>
   void Add(const std::string& name, std::vector<Point<D>> pts) {
+    static_assert(SupportedDim(D), "D is not listed in PARHC_FOR_EACH_DIM");
     PARHC_CHECK_MSG(!pts.empty(), "dataset must be non-empty");
-    Insert(name, std::make_shared<DatasetEntry<D>>(std::move(pts)));
+    Insert(name, MakeStaticEntry<D>(std::move(pts)));
   }
 
   /// Registers `name` from runtime-dimension rows (all rows one
@@ -282,38 +214,7 @@ class DatasetRegistry {
   /// — runtime data problems are query-path errors, not invariants, so
   /// this never aborts.
   std::string TryAddRows(const std::string& name,
-                         const std::vector<std::vector<double>>& rows) {
-    if (rows.empty()) return "dataset must be non-empty";
-    int dim = static_cast<int>(rows[0].size());
-    if (!SupportedDim(dim)) {
-      return "unsupported dataset dimension " + std::to_string(dim);
-    }
-    for (const auto& row : rows) {
-      if (row.size() != static_cast<size_t>(dim)) {
-        return "rows must share one dimension";
-      }
-    }
-    switch (dim) {
-#define PARHC_DIM_CASE(D) \
-  case D:                 \
-    return TryAdd(name, RowsToPoints<D>(rows));
-      PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
-#undef PARHC_DIM_CASE
-      default: return "";  // unreachable: SupportedDim checked above
-    }
-  }
-
-  /// TryAddRows that treats failure as a programmer error.
-  void AddRows(const std::string& name,
-               const std::vector<std::vector<double>>& rows) {
-    std::string err = TryAddRows(name, rows);
-    PARHC_CHECK_MSG(err.empty(), err.c_str());
-  }
-
-  /// Loads a CSV (dimension inferred from the first row).
-  void AddCsv(const std::string& name, const std::string& path) {
-    AddRows(name, ReadPointsCsv(path));
-  }
+                         const std::vector<std::vector<double>>& rows);
 
   /// Loads the binary point format, dispatching on the header's dimension
   /// and bulk-reading straight into typed points (no parsing, no per-row
@@ -321,45 +222,11 @@ class DatasetRegistry {
   /// for unsupported dimensions, empty files or non-finite coordinates;
   /// propagates the readers' std::runtime_error for unreadable or
   /// malformed files.
-  std::string TryAddBin(const std::string& name, const std::string& path) {
-    PointsBinHeader h = ReadPointsBinHeader(path);
-    if (!SupportedDim(static_cast<int>(h.dim))) {
-      return "unsupported dataset dimension " + std::to_string(h.dim);
-    }
-    if (h.count == 0) return "dataset must be non-empty";
-    switch (h.dim) {
-#define PARHC_DIM_CASE(D) \
-  case D:                 \
-    return TryAdd(name, ReadPointsBinAs<D>(path));
-      PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
-#undef PARHC_DIM_CASE
-      default: return "";  // unreachable: SupportedDim checked above
-    }
-  }
-
-  /// TryAddBin that treats recoverable failure as a programmer error.
-  void AddBin(const std::string& name, const std::string& path) {
-    std::string err = TryAddBin(name, path);
-    PARHC_CHECK_MSG(err.empty(), err.c_str());
-  }
+  std::string TryAddBin(const std::string& name, const std::string& path);
 
   /// Registers (or atomically replaces) `name` as an empty batch-dynamic
   /// dataset of the given dimension. Returns "" on success.
-  std::string TryAddDynamic(const std::string& name, int dim) {
-    if (!SupportedDim(dim)) {
-      return "unsupported dataset dimension " + std::to_string(dim);
-    }
-    switch (dim) {
-#define PARHC_DIM_CASE(D)                                       \
-  case D:                                                       \
-    Insert(name, std::make_shared<DynamicDatasetEntry<D>>()); \
-    break;
-      PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
-#undef PARHC_DIM_CASE
-      default: break;  // unreachable: SupportedDim checked above
-    }
-    return "";
-  }
+  std::string TryAddDynamic(const std::string& name, int dim);
 
   /// TryAddDynamic that treats failure as a programmer error.
   void AddDynamic(const std::string& name, int dim) {
@@ -374,28 +241,7 @@ class DatasetRegistry {
   /// back as error strings — they raise typed SnapshotError subtypes
   /// internally and never abort.
   std::string TryLoadSnapshot(const std::string& name,
-                              const std::string& dir) {
-    try {
-      ManifestInfo info = ReadManifestInfo(dir + "/" + kManifestFileName);
-      if (!SupportedDim(static_cast<int>(info.dim))) {
-        return "unsupported dataset dimension " + std::to_string(info.dim);
-      }
-      std::shared_ptr<DatasetEntryBase> entry;
-      switch (info.dim) {
-#define PARHC_DIM_CASE(D)                        \
-  case D:                                        \
-    entry = LoadEntry<D>(dir, info.dynamic); \
-    break;
-        PARHC_FOR_EACH_DIM(PARHC_DIM_CASE)
-#undef PARHC_DIM_CASE
-        default: break;  // unreachable: SupportedDim checked above
-      }
-      Insert(name, std::move(entry));
-    } catch (const SnapshotError& e) {
-      return e.what();
-    }
-    return "";
-  }
+                              const std::string& dir);
 
   /// Drops `name` and its whole artifact cache. In-flight queries holding
   /// the entry finish normally. Returns false when absent.
@@ -435,34 +281,6 @@ class DatasetRegistry {
   }
 
  private:
-  /// Add for untrusted points: rejects non-finite coordinates. Returns ""
-  /// on success, else an error message.
-  template <int D>
-  std::string TryAdd(const std::string& name, std::vector<Point<D>> pts) {
-    if (!AllFinite(pts.data(), pts.size())) return kNonFiniteCoordinates;
-    Add(name, std::move(pts));
-    return "";
-  }
-
-  template <int D>
-  static std::shared_ptr<DatasetEntryBase> LoadEntry(const std::string& dir,
-                                                     bool dynamic) {
-    if (dynamic) return std::make_shared<DynamicDatasetEntry<D>>(dir);
-    return std::make_shared<DatasetEntry<D>>(dir);
-  }
-
-  template <int D>
-  static std::vector<Point<D>> RowsToPoints(
-      const std::vector<std::vector<double>>& rows) {
-    std::vector<Point<D>> pts(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      PARHC_CHECK_MSG(rows[i].size() == static_cast<size_t>(D),
-                      "rows must share one dimension");
-      for (int d = 0; d < D; ++d) pts[i][d] = rows[i][d];
-    }
-    return pts;
-  }
-
   void Insert(const std::string& name,
               std::shared_ptr<DatasetEntryBase> entry) {
     std::lock_guard<std::mutex> lock(mu_);

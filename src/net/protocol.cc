@@ -53,15 +53,10 @@ std::vector<std::vector<double>> RowsFrom(const std::vector<Point<D>>& pts) {
 /// Registers the generated set; ParseLine has checked dim and kind.
 void Generate(DatasetRegistry& reg, const std::string& name, int dim,
               const std::string& kind, size_t n, uint64_t seed) {
-  switch (dim) {
-#define PARHC_GEN_CASE(D)                      \
-  case D:                                      \
-    reg.Add(name, GenTyped<D>(kind, n, seed)); \
-    break;
-    PARHC_FOR_EACH_DIM(PARHC_GEN_CASE)
-#undef PARHC_GEN_CASE
-    default: break;  // unreachable: SupportedDim checked by ParseLine
-  }
+  VisitDim(dim, false, [&](auto w) {
+    reg.Add(name, GenTyped<decltype(w)::value>(kind, n, seed));
+    return true;
+  });
 }
 
 // `stats` is deliberately absent below: the REPL's batch output (including
@@ -87,17 +82,6 @@ std::string HelpText() {
       "  reach <name> <minPts>\n"
       "  clusters <name> <minPts> <minClusterSize>\n"
       "  help | quit\n";
-}
-
-/// Comma-joined registry-hosted dimensions (the hello dim caps).
-std::string ProtocolDims() {
-  std::string out;
-#define PARHC_DIM_ITEM(D)            \
-  if (!out.empty()) out += ',';      \
-  out += std::to_string(D);
-  PARHC_FOR_EACH_DIM(PARHC_DIM_ITEM)
-#undef PARHC_DIM_ITEM
-  return out;
 }
 
 std::string TraceVerb(const Command& cmd) {
@@ -199,14 +183,18 @@ std::string StrPrintf(const char* fmt, ...) {
 std::vector<std::vector<double>> GenerateRows(int dim,
                                               const std::string& kind,
                                               size_t n, uint64_t seed) {
-  switch (dim) {
-#define PARHC_GEN_CASE(D) \
-  case D:                 \
-    return RowsFrom(GenTyped<D>(kind, n, seed));
-    PARHC_FOR_EACH_DIM(PARHC_GEN_CASE)
-#undef PARHC_GEN_CASE
-    default: return {};
+  return VisitDim(dim, std::vector<std::vector<double>>(), [&](auto w) {
+    return RowsFrom(GenTyped<decltype(w)::value>(kind, n, seed));
+  });
+}
+
+std::string ProtocolDims() {
+  std::string out;
+  for (int d : kSupportedDims) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(d);
   }
+  return out;
 }
 
 uint64_t ExtractTraceSuffix(std::string* line) {

@@ -335,5 +335,9 @@ std::vector<std::vector<double>> GenerateRows(int dim,
                                               const std::string& kind,
                                               size_t n, uint64_t seed);
 
+/// Comma-joined registry-hosted dimensions (kSupportedDims): the `hello`
+/// dim caps, which a router requires every upstream to match.
+std::string ProtocolDims();
+
 }  // namespace net
 }  // namespace parhc

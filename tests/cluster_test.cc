@@ -68,6 +68,51 @@ struct Worker {
   std::thread loop;
 };
 
+/// A server on a loopback port whose every session answers each request
+/// with one fixed line: a stand-in for a worker with another build's
+/// `hello`.
+struct FixedReplyServer {
+  struct Session : net::SessionHandler {
+    explicit Session(const std::string& reply) : reply(reply) {}
+    net::ProtocolResult Handle(const net::WireMessage&) override {
+      net::ProtocolResult r;
+      r.out = reply;
+      return r;
+    }
+    std::string reply;
+  };
+
+  struct Factory : net::SessionFactory {
+    explicit Factory(std::string reply) : reply(std::move(reply)) {}
+    std::shared_ptr<net::SessionHandler> NewSession(
+        const net::SessionContext&) override {
+      return std::make_shared<Session>(reply);
+    }
+    std::string reply;
+  };
+
+  explicit FixedReplyServer(std::string reply) : factory(std::move(reply)) {
+    net::NetServerOptions opts;
+    opts.workers = 1;
+    server = std::make_unique<net::NetServer>(factory, opts);
+    EXPECT_EQ(server->Start(), "");
+    loop = std::thread([this] { server->Run(); });
+  }
+
+  ~FixedReplyServer() {
+    server->Shutdown();
+    loop.join();
+  }
+
+  std::string addr() const {
+    return "127.0.0.1:" + std::to_string(server->port());
+  }
+
+  Factory factory;
+  std::unique_ptr<net::NetServer> server;
+  std::thread loop;
+};
+
 net::ProtocolOptions NoTiming() {
   net::ProtocolOptions popts;
   popts.show_timing = false;
@@ -152,23 +197,39 @@ TEST(Upstream, HelloHandshakeVerifiesProtocolAndRole) {
   Upstream up(w.addr(), /*timeout_ms=*/5000);
   EXPECT_EQ(up.Connect(), "");
   EXPECT_TRUE(up.healthy());
-  // The worker advertises its compiled-in dimension caps.
-  EXPECT_FALSE(up.dims().empty());
-  bool has2 = false;
-  for (int d : up.dims()) has2 |= (d == 2);
-  EXPECT_TRUE(has2);
 
   // A router fronting this worker identifies itself as role=router with
-  // the same protocol version.
+  // the same protocol version and dimension caps.
   Router router({w.addr()}, NoHealth());
   EXPECT_EQ(router.Start(), "");
   std::string hello = Ask(router, "hello");
-  EXPECT_EQ(hello.rfind("ok hello proto=" +
-                            std::to_string(net::kProtocolVersion) +
-                            " role=router dims=",
-                        0),
-            0u)
+  EXPECT_EQ(hello, "ok hello proto=" + std::to_string(net::kProtocolVersion) +
+                       " role=router dims=" + net::ProtocolDims() + "\n")
       << hello;
+}
+
+TEST(Upstream, HandshakeRefusesOtherDimCaps) {
+  FixedReplyServer w("ok hello proto=" +
+                     std::to_string(net::kProtocolVersion) +
+                     " role=engine dims=2,3\n");
+  Upstream up(w.addr(), /*timeout_ms=*/5000);
+  std::string err = up.Connect();
+  EXPECT_EQ(err, "upstream " + w.addr() + " serves dims=2,3, need dims=" +
+                     net::ProtocolDims());
+  EXPECT_FALSE(up.healthy());
+  Router router({w.addr()}, NoHealth());
+  EXPECT_NE(router.Start(), "");
+}
+
+TEST(Upstream, HandshakeRefusesOtherProtocolVersion) {
+  FixedReplyServer w("ok hello proto=1 role=engine dims=" +
+                     net::ProtocolDims() + "\n");
+  Upstream up(w.addr(), /*timeout_ms=*/5000);
+  std::string err = up.Connect();
+  EXPECT_NE(err.find("speaks protocol 1"), std::string::npos) << err;
+  EXPECT_FALSE(up.healthy());
+  Router router({w.addr()}, NoHealth());
+  EXPECT_NE(router.Start(), "");
 }
 
 TEST(Upstream, ConnectToDeadPortFailsAndRouterStartIsStrict) {

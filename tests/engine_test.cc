@@ -8,13 +8,18 @@
 #include <filesystem>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <thread>
 
 #include "data/generators.h"
 #include "data/io.h"
+#include "dynamic/artifacts.h"
 #include "emst/emst.h"
+#include "engine/artifact_util.h"
+#include "engine/artifacts.h"
 #include "engine/engine.h"
 #include "hdbscan/hdbscan.h"
+#include "hdbscan/stability.h"
 #include "test_util.h"
 
 namespace parhc {
@@ -245,6 +250,106 @@ TEST(EngineRegistry, ErrorsAndTypeErasedDispatch) {
   EXPECT_TRUE(engine.registry().Remove("d7"));
   EXPECT_FALSE(engine.registry().Remove("d7"));
   EXPECT_EQ(engine.registry().List().size(), size_t{0});
+}
+
+// Every width the registry lists loads through every registry path — rows,
+// an empty dynamic set plus an insert batch, a snapshot round trip of
+// each, and the static entry built from flat coords (the router's mirror)
+// — and each answers EMST and HDBSCAN* identically, through the engine
+// and through the entry's own Emst / Clustering steps. Unlisted widths
+// are refused on every path.
+TEST(EngineRegistry, EveryListedWidthServesEveryPath) {
+  namespace fs = std::filesystem;
+  const fs::path tmp = fs::path(::testing::TempDir()) / "parhc_every_width";
+  const size_t n = 40;
+  for (int dim : kSupportedDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    fs::remove_all(tmp);
+    std::mt19937_64 rng(static_cast<uint64_t>(dim));
+    std::uniform_real_distribution<double> coord(0.0, 1.0);
+    std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
+    std::vector<double> flat;
+    for (auto& row : rows) {
+      for (double& v : row) {
+        v = coord(rng);
+        flat.push_back(v);
+      }
+    }
+
+    ClusteringEngine engine;
+    DatasetRegistry& reg = engine.registry();
+    ASSERT_EQ(reg.TryAddRows("rows", rows), "");
+    ASSERT_EQ(reg.TryAddDynamic("dyn", dim), "");
+    ASSERT_EQ(engine.InsertBatch("dyn", rows), "");
+    ASSERT_EQ(engine.SaveDataset("rows", (tmp / "rows").string()), "");
+    ASSERT_EQ(engine.LoadDataset("rows_snap", (tmp / "rows").string()), "");
+    ASSERT_EQ(engine.SaveDataset("dyn", (tmp / "dyn").string()), "");
+    ASSERT_EQ(engine.LoadDataset("dyn_snap", (tmp / "dyn").string()), "");
+    std::shared_ptr<DatasetEntryBase> mirror = MakeStaticEntry(dim, flat, n);
+    ASSERT_NE(mirror, nullptr);
+    ASSERT_EQ(mirror->dim(), dim);
+
+    EngineRequest emst;
+    emst.type = QueryType::kEmst;
+    EngineRequest hdbscan;
+    hdbscan.type = QueryType::kHdbscan;
+    hdbscan.min_pts = 3;
+    // What the router does with its mirror: AnswerQuery over the entry's
+    // own steps, inside a worker group.
+    auto ask_entry = [&](DatasetEntryBase& entry, const EngineRequest& req) {
+      EngineResponse r;
+      engine.RunExternal([&] {
+        AnswerQuery(
+            req, entry.num_points(), &r,
+            [&](bool need_dendro, EmstView* v) {
+              return entry.Emst(need_dendro, /*allow_build=*/true, &r, v);
+            },
+            [&](int min_pts, bool need_plot, ClusteringView* v) {
+              return entry.Clustering(min_pts, need_plot,
+                                      /*allow_build=*/true, &r, v);
+            });
+      });
+      return r;
+    };
+    std::vector<std::pair<std::string, EngineResponse>> emsts, clusterings;
+    for (const char* name : {"rows", "dyn", "rows_snap", "dyn_snap"}) {
+      emst.dataset = hdbscan.dataset = name;
+      emsts.emplace_back(name, engine.Run(emst));
+      clusterings.emplace_back(name, engine.Run(hdbscan));
+      std::shared_ptr<DatasetEntryBase> entry = reg.Find(name);
+      ASSERT_NE(entry, nullptr);
+      emsts.emplace_back(name + std::string(" steps"), ask_entry(*entry, emst));
+      clusterings.emplace_back(name + std::string(" steps"),
+                               ask_entry(*entry, hdbscan));
+    }
+    emsts.emplace_back("mirror", ask_entry(*mirror, emst));
+    clusterings.emplace_back("mirror", ask_entry(*mirror, hdbscan));
+
+    for (const auto& [path, r] : emsts) {
+      ASSERT_TRUE(r.ok) << path << ": " << r.error;
+      EXPECT_EQ(r.mst->size(), n - 1) << path;
+      EXPECT_EQ(r.mst_weight, emsts[0].second.mst_weight) << path;
+    }
+    for (const auto& [path, r] : clusterings) {
+      ASSERT_TRUE(r.ok) << path << ": " << r.error;
+      EXPECT_EQ(r.mst->size(), n - 1) << path;
+      EXPECT_EQ(r.mst_weight, clusterings[0].second.mst_weight) << path;
+      EXPECT_EQ(*r.core_dist, *clusterings[0].second.core_dist) << path;
+    }
+  }
+  fs::remove_all(tmp);
+
+  for (int dim : {1, 6, 300}) {
+    const std::string want =
+        "unsupported dataset dimension " + std::to_string(dim);
+    ClusteringEngine engine;
+    std::vector<std::vector<double>> rows(4, std::vector<double>(dim, 0.5));
+    EXPECT_EQ(engine.registry().TryAddRows("x", rows), want);
+    EXPECT_EQ(engine.registry().TryAddDynamic("x", dim), want);
+    EXPECT_EQ(engine.registry().Find("x"), nullptr);
+    EXPECT_EQ(MakeStaticEntry(dim, std::vector<double>(4 * dim, 0.5), 4),
+              nullptr);
+  }
 }
 
 // The static and batch-dynamic backends answer through one AnswerQuery
